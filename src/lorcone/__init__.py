@@ -13,7 +13,6 @@ from .errors import (
 )
 from .warp import (
     WarpSpec, NullTransport, ConcavityReport, SingularityReport,
-    eval_warp, min_on_interval, null_parameter, h_solve,
     concavity_check, singularity_report,
 )
 from .fiber import (

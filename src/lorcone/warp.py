@@ -4,18 +4,21 @@ A warping function is a positive continuous ``f`` on an open interval
 ``(a, b)``; the closed-form kinds carry analytic derivatives and analytic
 interval extrema.  :class:`NullTransport` packages the null-parameter
 integral ``F(r) = int_{p0}^r 1/f`` together with its inverse ``h`` and the
-forward/backward horizons, which may be infinite and are detected as such
-rather than overflowed.
+forward/backward horizons.  For the seven analytic kinds all three are
+elementary closed forms, with horizons taken as the analytic limits toward
+the interval ends (infinite where ``1/f`` is not integrable).  Only sampled
+warps integrate numerically: adaptive quadrature for ``F`` and a geometric
+march toward each end for the table behind ``h`` and the horizons.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy import integrate
 
 from .errors import DomainError, QuadratureError, RangeError
 
@@ -24,9 +27,9 @@ KINDS = CLOSED_FORM_KINDS + ("sampled",)
 
 _TWO_PI = 2.0 * math.pi
 
-# Horizon detection: geometric endpoint refinement stops when either the
-# partial integral exceeds the cap (declared infinite) or the last increment
-# is negligible (declared finite).
+# Horizon detection for sampled warps: geometric endpoint refinement stops
+# when either the partial integral exceeds the cap (declared infinite) or the
+# last increment is negligible (declared finite).
 HORIZON_CAP = 1e12
 _HORIZON_STEPS = 64
 _HORIZON_ATOL = 1e-13
@@ -136,17 +139,22 @@ class WarpSpec:
         if self.rate <= 0:
             raise DomainError("sin/cos warp requires rate > 0")
         w = self.rate
-        lo, hi = w * self.a, w * self.b
-        if not (math.isfinite(lo) and math.isfinite(hi)):
+        if not (math.isfinite(w * self.a) and math.isfinite(w * self.b)):
             raise DomainError(f"{k} warp requires a finite interval")
-        shift = 0.0 if k == "sin" else math.pi / 2.0
-        lo, hi = lo + shift, hi + shift
-        pos = lo - _TWO_PI * math.floor(lo / _TWO_PI)
-        if pos > _TWO_PI - 1e-9:
-            pos -= _TWO_PI   # snap a just-below-period phase back to zero
-        if pos + (hi - lo) > math.pi + 1e-9:
+        if w * self.b + self._arch_offset() > math.pi + 1e-9:
             raise DomainError(
                 f"{k} warp is not positive on the whole interval ({self.a}, {self.b})")
+
+    def _arch_offset(self):
+        """For sin/cos: the offset c with ``f(t) = A sin(rate*t + c)`` whose
+        phase ``rate*a + c`` at the lower end is reduced modulo 2 pi; a phase
+        within 1e-9 below the period snaps back to just below zero."""
+        shift = 0.0 if self.kind == "sin" else math.pi / 2.0
+        lo = self.rate * self.a + shift
+        turns = math.floor(lo / _TWO_PI)
+        if lo - _TWO_PI * turns > _TWO_PI - 1e-9:
+            turns += 1
+        return shift - _TWO_PI * turns
 
     def _validate_sampled(self):
         if not self.samples or len(self.samples) < 2:
@@ -348,22 +356,13 @@ class WarpSpec:
         return -width, width
 
 
-def eval_warp(w: WarpSpec, t):
-    """f(t) for t strictly inside the interval."""
-    return w(t)
-
-
-def min_on_interval(w: WarpSpec, s, t):
-    """m_{s,t} = min of f over [s, t]."""
-    return w.min_on(s, t)
-
-
 def _inv_integrand(w):
     return lambda t: 1.0 / w(t)
 
 
 def _quad_inverse(w, lo, hi):
     """Adaptive Gauss-Kronrod integral of 1/f over [lo, hi] (signed)."""
+    from scipy import integrate
     if lo == hi:
         return 0.0
     sign = 1.0
@@ -407,13 +406,197 @@ def _piecewise_linear_inverse(w, lo, hi):
     return float(np.sum(pieces))
 
 
+# -- closed-form null transport ---------------------------------------------------
+#
+# Each form below holds F(r) = int_{p0}^r 1/f, its inverse h and the horizons
+# (``lower``, ``upper``) of one analytic kind, written so that F loses no
+# digits to cancellation when r is near p0 or the terms are large.
+
+_EXP_MAX = math.log(sys.float_info.max)
+# A computed arch phase carries this much rounding per unit of its terms; an
+# interval end that close to an arch end is taken to be the arch end.
+_ARCH_END_TOL = 64 * sys.float_info.epsilon
+
+
+def _exp(x):
+    return math.exp(x) if x <= _EXP_MAX else math.inf
+
+
+def _expm1(x):
+    return math.expm1(x) if x <= _EXP_MAX else math.inf
+
+
+def _log1p(x):
+    return math.log1p(x) if x > -1.0 else -math.inf
+
+
+def _log_ratio(r, r0):
+    """log(r / r0) for positive r and r0, accurate when r is near r0."""
+    if abs(r - r0) < 0.5 * r0:
+        return math.log1p((r - r0) / r0)
+    return math.log(r) - math.log(r0)
+
+
+class _Linear:
+    """f = c: F(r) = (r - p0) / c."""
+
+    def __init__(self, c, p0, a, b):
+        self.c, self.p0 = c, p0
+        self.lower, self.upper = (a - p0) / c, (b - p0) / c
+
+    def F(self, r):
+        return (r - self.p0) / self.c
+
+    def h(self, s):
+        return self.p0 + self.c * s
+
+
+class _PowerLaw:
+    """f = A t^p for t > 0 (identity is p = 1).  With q = 1 - p and
+    L = log(r / p0), F = p0^q expm1(q L) / (A q), which is L / A at q = 0."""
+
+    def __init__(self, A, p, p0, a, b):
+        self.A, self.q, self.p0 = A, 1.0 - p, p0
+        self._p0_q = _exp(self.q * math.log(p0))
+        self.lower = self._of_log(-math.inf if a == 0.0 else _log_ratio(a, p0))
+        self.upper = self._of_log(_log_ratio(b, p0))
+
+    def _of_log(self, L):
+        if self.q == 0.0:
+            return L / self.A
+        return self._p0_q * _expm1(self.q * L) / (self.A * self.q)
+
+    def F(self, r):
+        return self._of_log(_log_ratio(r, self.p0))
+
+    def h(self, s):
+        if self.q == 0.0:
+            L = self.A * s
+        else:
+            L = _log1p(self.A * self.q * s / self._p0_q) / self.q
+        return self.p0 * _exp(L)
+
+
+class _Exp:
+    """f = A e^{w t} with w != 0: F = -e^{-w p0} expm1(-w (r - p0)) / (A w)."""
+
+    def __init__(self, A, w, p0, a, b):
+        self.Aw, self.w, self.p0 = A * w, w, p0
+        self._e = _exp(-w * p0)
+        self.lower, self.upper = self.F(a), self.F(b)
+
+    def F(self, r):
+        return -_expm1(-self.w * (r - self.p0)) * self._e / self.Aw
+
+    def h(self, s):
+        return self.p0 - _log1p(-self.Aw * s / self._e) / self.w
+
+
+class _Cosh:
+    """f = A cosh(w t) with w > 0: F = (gd(w r) - gd(w p0)) / (A w) for the
+    Gudermannian gd.  The difference is 2 atan(sinh(u) / cosh(v)) with
+    u = w (r - p0) / 2 and v = w (r + p0) / 2, taken in exponentials of
+    |u| - |v| so that nothing overflows."""
+
+    def __init__(self, A, w, p0, a, b):
+        self.Aw, self.w, self.p0 = A * w, w, p0
+        y = w * p0
+        big = abs(y) >= _EXP_MAX
+        self._sinh = math.copysign(math.inf, y) if big else math.sinh(y)
+        self._cosh = math.inf if big else math.cosh(y)
+        # gd(+-inf) - gd(y) = +-2 atan(e^{-+y})
+        self.lower = (-2.0 * math.atan(_exp(y)) / self.Aw if a == -math.inf
+                      else self.F(a))
+        self.upper = (2.0 * math.atan(_exp(-y)) / self.Aw if b == math.inf
+                      else self.F(b))
+
+    def F(self, r):
+        u = 0.5 * self.w * (r - self.p0)
+        au, av = abs(u), abs(0.5 * self.w * (r + self.p0))
+        ratio = _exp(au - av) * -math.expm1(-2.0 * au) / (1.0 + math.exp(-2.0 * av))
+        return 2.0 * math.atan(math.copysign(ratio, u)) / self.Aw
+
+    def h(self, s):
+        # gd(x) = gd(y) + sigma solved for x - y: with g = gd(y),
+        # sinh(x - y) = 2 cos(g + sigma/2) sin(sigma/2) / (cos g cos(g + sigma)),
+        # where cos g = 1/cosh y and tan g = sinh y; den -> 0 at the horizon
+        sigma = self.Aw * s
+        c, sn = math.cos(0.5 * sigma), math.sin(0.5 * sigma)
+        den = math.cos(sigma) - self._sinh * math.sin(sigma)
+        if den <= 0.0:
+            return math.copysign(math.inf, s)
+        ratio = 2.0 * sn * (c - self._sinh * sn) * self._cosh / den
+        return self.p0 + math.asinh(ratio) / self.w
+
+
+class _Arch:
+    """f = A sin(phi) on the arch phase phi = w t + c in (0, pi), cos being sin
+    shifted by pi/2: F = log(tan(phi(r)/2) / tan(phi(p0)/2)) / (A w).  Where
+    the interval reaches an arch end f vanishes and the horizon is infinite."""
+
+    def __init__(self, warp, p0):
+        self.w, self.Aw, self.p0 = warp.rate, warp.amplitude * warp.rate, p0
+        self._offset = warp._arch_offset()
+        beta = self._half_phase(p0)
+        self._sin_beta, self._tan_beta = math.sin(beta), math.tan(beta)
+        self._log_tan_beta = math.log(self._tan_beta)
+        a, b = warp.a, warp.b
+        self.lower = (-math.inf if self.w * a + self._offset <= self._end_tol(a)
+                      else self.F(a))
+        self.upper = (math.inf if self.w * b + self._offset >= math.pi - self._end_tol(b)
+                      else self.F(b))
+
+    def _end_tol(self, t):
+        return _ARCH_END_TOL * (abs(self.w * t) + abs(self._offset) + math.pi)
+
+    def _half_phase(self, t):
+        alpha = 0.5 * (self.w * t + self._offset)
+        if not 0.0 < alpha < 0.5 * math.pi:
+            raise DomainError(f"warp is not positive at {t}")
+        return alpha
+
+    def F(self, r):
+        alpha = self._half_phase(r)
+        # tan(alpha) / tan(beta) - 1 = sin(alpha - beta) / (cos(alpha) sin(beta))
+        x = math.sin(0.5 * self.w * (r - self.p0)) / (math.cos(alpha) * self._sin_beta)
+        if abs(x) < 0.5:
+            return math.log1p(x) / self.Aw
+        return (math.log(math.tan(alpha)) - self._log_tan_beta) / self.Aw
+
+    def h(self, s):
+        # tan(phi/2) grows by the factor e^{A w s}
+        phase = 2.0 * math.atan(self._tan_beta * _exp(self.Aw * s))
+        return (phase - self._offset) / self.w
+
+
+def _closed_transport(warp, p0):
+    """The closed-form transport of an analytic warp from p0 (None if sampled)."""
+    k, A, w, a, b = warp.kind, warp.amplitude, warp.rate, warp.a, warp.b
+    if k == "constant":
+        return _Linear(warp.c, p0, a, b)
+    if k in ("identity", "power"):
+        return _PowerLaw(A, 1.0 if k == "identity" else warp.p, p0, a, b)
+    if k in ("exp", "cosh") and w == 0.0:
+        return _Linear(A, p0, a, b)
+    if k == "exp":
+        return _Exp(A, w, p0, a, b)
+    if k == "cosh":
+        return _Cosh(A, abs(w), p0, a, b)
+    if k in ("sin", "cos"):
+        return _Arch(warp, p0)
+    return None
+
+
 class NullTransport:
     """Null-parameter transport from a base time p0.
 
     Holds the strictly increasing map ``F(r) = int_{p0}^r 1/f`` (negative for
-    r < p0), its inverse ``h`` (computed by bracketed root refinement on a
-    cached monotone table) and the horizons ``a_p0 <= 0 <= b_p0``, with
-    divergent improper integrals detected and reported as infinite.
+    r < p0), its inverse ``h`` and the horizons ``a_p0 <= 0 <= b_p0``, the
+    limits of F toward the interval ends, which may be infinite.  The seven
+    analytic kinds evaluate all three in closed form, with no quadrature.
+    Sampled warps integrate: F by adaptive quadrature, the horizons by a
+    geometric march toward each end that reports divergent improper integrals
+    as infinite, and h by bracketed root refinement on the marched table.
     """
 
     def __init__(self, warp: WarpSpec, p0: float):
@@ -421,6 +604,11 @@ class NullTransport:
             raise DomainError(f"base point {p0} outside ({warp.a}, {warp.b})")
         self.warp = warp
         self.p0 = float(p0)
+        self._form = _closed_transport(warp, self.p0)
+        if self._form is not None:
+            self.backward_horizon = self._form.lower
+            self.forward_horizon = self._form.upper
+            return
         r_fwd, f_fwd, self.forward_horizon = self._march(+1)
         r_bwd, f_bwd, back = self._march(-1)
         self.backward_horizon = back
@@ -471,10 +659,13 @@ class NullTransport:
         return out
 
     def null_parameter(self, r):
-        """F(r) = int_{p0}^r 1/f by adaptive quadrature (signed)."""
+        """F(r) = int_{p0}^r 1/f (signed): closed form for analytic kinds,
+        adaptive quadrature for sampled warps."""
         if not self.warp.a < r < self.warp.b:
             raise DomainError(f"{r} outside ({self.warp.a}, {self.warp.b})")
-        return _quad_inverse(self.warp, self.p0, r)
+        if self._form is None:
+            return _quad_inverse(self.warp, self.p0, r)
+        return self._form.F(float(r))
 
     def _table_value(self, r):
         """F(r) via the cached table plus a local refinement integral."""
@@ -485,13 +676,15 @@ class NullTransport:
 
     def h_solve(self, s):
         """h(s): the unique r with F(r) = s, for s in (a_p0, b_p0)."""
-        from scipy.optimize import brentq
         if not self.backward_horizon < s < self.forward_horizon:
             raise RangeError(
                 f"null parameter {s} outside ({self.backward_horizon}, "
                 f"{self.forward_horizon})")
         if s == 0.0:
             return self.p0
+        if self._form is not None:
+            return self._inside(self._form.h(float(s)), s)
+        from scipy.optimize import brentq
         lo, hi = self._bracket(s)
         if lo == hi:
             return lo
@@ -499,6 +692,17 @@ class NullTransport:
                    xtol=1e-13 * max(1.0, abs(lo), abs(hi)), rtol=8.9e-16,
                    maxiter=200)
         return float(r)
+
+    def _inside(self, r, s):
+        """A closed-form h(s) that rounded onto or past an interval end moves to
+        the nearest float inside; past an infinite end it is not representable."""
+        a, b = self.warp.a, self.warp.b
+        if a < r < b:
+            return r
+        end = b if r >= b else a
+        if math.isnan(r) or math.isinf(end):
+            raise RangeError(f"h({s}) beyond representable range")
+        return math.nextafter(end, self.p0)
 
     def _bracket(self, s):
         tab_r, tab_f = self._r_tab, self._f_tab
@@ -527,14 +731,6 @@ class NullTransport:
                 return (r, nxt) if r < nxt else (nxt, r)
             r, fval = nxt, fnxt
         raise RangeError(f"could not bracket h({s})")
-
-
-def null_parameter(nt: NullTransport, r):
-    return nt.null_parameter(r)
-
-
-def h_solve(nt: NullTransport, s):
-    return nt.h_solve(s)
 
 
 @dataclass(frozen=True)

@@ -7,25 +7,24 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lorcone import (DomainError, NullTransport, RangeError, WarpSpec,
-                     concavity_check, eval_warp, h_solve, min_on_interval,
-                     null_parameter, singularity_report)
+                     concavity_check, singularity_report)
 
 
 class TestEval:
     def test_identity(self):
-        assert eval_warp(WarpSpec.identity(), 2.0) == 2.0
+        assert WarpSpec.identity()(2.0) == 2.0
 
     def test_sin_crest(self):
-        assert eval_warp(WarpSpec.sin(), math.pi / 2) == pytest.approx(1.0)
+        assert WarpSpec.sin()(math.pi / 2) == pytest.approx(1.0)
 
     def test_sampled_linear(self):
         w = WarpSpec.sampled([(0.0, 1.0), (1.0, 3.0)])
         # hand interpolation: midpoint of (1, 3)
-        assert eval_warp(w, 0.5) == pytest.approx(2.0)
+        assert w(0.5) == pytest.approx(2.0)
 
     def test_domain_error(self):
         with pytest.raises(DomainError):
-            eval_warp(WarpSpec.sin(), 3.5)
+            WarpSpec.sin()(3.5)
 
     def test_positivity_validation(self):
         with pytest.raises(DomainError):
@@ -43,27 +42,27 @@ class TestEval:
 
 class TestMinOnInterval:
     def test_constant(self):
-        assert min_on_interval(WarpSpec.constant(1.0), -3.0, 5.0) == 1.0
+        assert WarpSpec.constant(1.0).min_on(-3.0, 5.0) == 1.0
 
     def test_sin_scan_oracle(self):
         w = WarpSpec.sin()
         s, t = math.pi / 4, 3 * math.pi / 4
         grid = np.linspace(s, t, 20001)
         oracle = float(np.min(np.sin(grid)))
-        assert min_on_interval(w, s, t) == pytest.approx(oracle, abs=1e-9)
-        assert min_on_interval(w, s, t) == pytest.approx(math.sin(math.pi / 4))
+        assert w.min_on(s, t) == pytest.approx(oracle, abs=1e-9)
+        assert w.min_on(s, t) == pytest.approx(math.sin(math.pi / 4))
 
     def test_exp_monotone(self):
-        assert min_on_interval(WarpSpec.exp(), 0.0, 2.0) == pytest.approx(1.0)
+        assert WarpSpec.exp().min_on(0.0, 2.0) == pytest.approx(1.0)
 
     def test_cosh_trough(self):
-        assert min_on_interval(WarpSpec.cosh(), -1.0, 2.0) == pytest.approx(1.0)
-        assert min_on_interval(WarpSpec.cosh(), 0.5, 2.0) == pytest.approx(
+        assert WarpSpec.cosh().min_on(-1.0, 2.0) == pytest.approx(1.0)
+        assert WarpSpec.cosh().min_on(0.5, 2.0) == pytest.approx(
             math.cosh(0.5))
 
     def test_domain(self):
         with pytest.raises(DomainError):
-            min_on_interval(WarpSpec.sin(), -1.0, 1.0)
+            WarpSpec.sin().min_on(-1.0, 1.0)
 
     @given(st.floats(0.1, 3.0), st.floats(0.1, 3.0))
     @settings(max_examples=60, deadline=None)
@@ -81,24 +80,24 @@ class TestMinOnInterval:
 class TestNullTransport:
     def test_flat(self):
         nt = NullTransport(WarpSpec.constant(1.0), 0.0)
-        assert null_parameter(nt, 1.0) == pytest.approx(1.0)
-        assert h_solve(nt, 0.5) == pytest.approx(0.5)
+        assert nt.null_parameter(1.0) == pytest.approx(1.0)
+        assert nt.h_solve(0.5) == pytest.approx(0.5)
 
     def test_exp_antiderivative(self):
         # antiderivative of 1/e^t is -e^{-t}
         nt = NullTransport(WarpSpec.exp(), 0.0)
-        assert null_parameter(nt, 1.0) == pytest.approx(1 - math.exp(-1),
-                                                        abs=1e-10)
-        assert h_solve(nt, 0.5) == pytest.approx(math.log(2.0), abs=1e-10)
+        assert nt.null_parameter(1.0) == pytest.approx(1 - math.exp(-1),
+                                                       abs=1e-10)
+        assert nt.h_solve(0.5) == pytest.approx(math.log(2.0), abs=1e-10)
 
     def test_identity_log(self):
         nt = NullTransport(WarpSpec.identity(), 1.0)
-        assert null_parameter(nt, math.e) == pytest.approx(1.0, abs=1e-10)
-        assert h_solve(nt, 1.0) == pytest.approx(math.e, abs=1e-9)
+        assert nt.null_parameter(math.e) == pytest.approx(1.0, abs=1e-10)
+        assert nt.h_solve(1.0) == pytest.approx(math.e, abs=1e-9)
 
     def test_signed_backward(self):
         nt = NullTransport(WarpSpec.identity(), 1.0)
-        assert null_parameter(nt, 0.5) == pytest.approx(math.log(0.5), abs=1e-10)
+        assert nt.null_parameter(0.5) == pytest.approx(math.log(0.5), abs=1e-10)
 
     def test_horizons(self):
         # divergence detection, not overflow
@@ -114,7 +113,7 @@ class TestNullTransport:
     def test_range_error(self):
         nt = NullTransport(WarpSpec.exp(), 0.0)
         with pytest.raises(RangeError):
-            h_solve(nt, 1.5)
+            nt.h_solve(1.5)
 
     @given(st.floats(-2.0, 2.0))
     @settings(max_examples=40, deadline=None)
