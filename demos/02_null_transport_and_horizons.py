@@ -6,7 +6,7 @@ base time: a later point is chronologically related exactly when F(q0)
 exceeds the fiber distance, and the null boundary is the graph of the
 inverse h.  Horizons are the (possibly infinite) limits of F toward the
 interval ends.  For the analytic warp kinds F, h and the horizons are closed
-forms; only sampled warps integrate numerically.
+forms; sampled warps sum exact integrals of 1/f over their knot pieces.
 """
 
 import math
@@ -42,7 +42,7 @@ ts = np.linspace(-2.0, 2.0, 401)
 nt_s = NullTransport(WarpSpec.sampled(list(zip(ts, np.exp(ts)))), 0.0)
 print("  F(1)             : %.9f   (integral of the linear interpolant)"
       % nt_s.null_parameter(1.0))
-print("  forward horizon  : %.9f   (marched; exp itself gives 1 - e^-2 = %.9f)"
+print("  forward horizon  : %.9f   (knot table; exp itself gives 1 - e^-2 = %.9f)"
       % (nt_s.forward_horizon, 1 - math.exp(-2)))
 
 print("\nODE check: h' = f(h) by central differences, f = sin on (0, pi)")

@@ -29,8 +29,8 @@ from .lorentz_model import (
 )
 from .comparison import (
     TimelikeTriangle, CurvatureReport, PairRecord, SamplingSpec,
-    size_bounds_check, lift_fiber_triangle, compare_corresponding_points,
-    certify_bound, fiber_bound_from_cone,
+    lift_fiber_triangle, compare_corresponding_points, certify_bound,
+    fiber_bound_from_cone,
 )
 from .llstructure import (
     CurveCatalog, RelationTable, TauTable, LLVerdict,

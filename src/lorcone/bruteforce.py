@@ -1,9 +1,9 @@
 """Brute-force reference computations used to gate the fast solvers.
 
-These stay deliberately independent of the solver code paths: the time
-separation oracle maximizes over piecewise-linear causal grid paths by
-dynamic programming, and the catalog oracle enumerates concatenations
-explicitly.
+These stay deliberately independent of the solver code paths: the null
+parameter oracle integrates 1/f by adaptive quadrature, the time separation
+oracle maximizes over piecewise-linear causal grid paths by dynamic
+programming, and the catalog oracle enumerates concatenations explicitly.
 """
 
 from __future__ import annotations
@@ -11,6 +11,39 @@ from __future__ import annotations
 import math
 
 import numpy as np
+
+from .errors import QuadratureError
+
+
+def quad_inverse(w, lo, hi):
+    """Adaptive Gauss-Kronrod integral of 1/f over [lo, hi] (signed).
+
+    A sampled warp is integrated piece by piece between its knots, where the
+    interpolant has kinks.
+    """
+    from scipy import integrate
+    if lo == hi:
+        return 0.0
+    sign = 1.0
+    if hi < lo:
+        lo, hi, sign = hi, lo, -1.0
+    edges = [lo, hi]
+    if w.kind == "sampled":
+        edges = [lo] + [t for t, _ in w.samples if lo < t < hi] + [hi]
+    total = 0.0
+    err_total = 0.0
+    for a, b in zip(edges[:-1], edges[1:]):
+        val, err = integrate.quad(lambda t: 1.0 / w(t), a, b,
+                                  epsabs=w.quad_tol, epsrel=w.quad_tol,
+                                  limit=200)
+        total += val
+        err_total += err
+    if (not math.isfinite(total)
+            or err_total > 1e4 * w.quad_tol * max(1.0, abs(total))):
+        raise QuadratureError(
+            f"quadrature of 1/f over [{lo}, {hi}] did not converge",
+            estimate=err_total)
+    return sign * total
 
 
 def dp_time_separation(warp, p0, q0, d, n_time=600, n_space=600):

@@ -8,8 +8,7 @@ report), ``singularity`` (warp-level singularity verdicts), ``llcheck``
 Exit codes: 0 success/consistent, 2 violation/falsified, 1 error.  Errors
 print machine-parsable ``error: ...`` lines on stderr.  Points are written
 ``t;fiber_coords`` with a semicolon separating the base time.  All floats
-print with 9 significant digits.  The environment variable LORCONE_THREADS
-caps certification parallelism.
+print with 9 significant digits.
 """
 
 from __future__ import annotations

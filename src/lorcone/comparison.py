@@ -10,8 +10,6 @@ falsification checks at sampled scale, never proofs.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -24,11 +22,6 @@ from .lorentz_model import (corresponding_point, model_tau,
                             realize_timelike_triangle, size_bounds)
 
 _TIMELIKE_FLOOR = 1e-12
-
-
-def size_bounds_check(k_prime: float, a: float, b: float, c: float) -> bool:
-    """Timelike size bounds guaranteeing a comparison triangle in the model."""
-    return size_bounds(k_prime, a, b, c)
 
 
 @dataclass(frozen=True)
@@ -98,6 +91,18 @@ class PairRecord:
     note: str = ""
 
 
+def _side_points(Y: GeneralizedCone, tri: TimelikeTriangle, pair_samples: int):
+    """(s, point) at evenly spaced tau parameters s on side xy (0 at x) and on
+    side yz (0 at y), vertices included, each point solved once."""
+    fr = np.linspace(0.0, 1.0, max(2, pair_samples))
+
+    def side(start, end, length):
+        return [(s, start if s == 0.0 else Y.point_on_maximizer(start, end, s))
+                for s in fr * length]
+
+    return side(tri.x, tri.y, tri.a), side(tri.y, tri.z, tri.b)
+
+
 def compare_corresponding_points(Y: GeneralizedCone, tri: TimelikeTriangle,
                                  k_prime: float, pair_samples: int = 4):
     """Compare tau between corresponding points of the lifted triangle and its
@@ -108,21 +113,17 @@ def compare_corresponding_points(Y: GeneralizedCone, tri: TimelikeTriangle,
     where either side fails to be timelike-related are recorded as
     informational, not counted toward verdicts.
     """
-    if not size_bounds_check(k_prime, tri.a, tri.b, tri.c):
+    if not size_bounds(k_prime, tri.a, tri.b, tri.c):
         raise SizeBoundsError(
             f"size bounds for K'={k_prime} fail on sides "
             f"({tri.a}, {tri.b}, {tri.c})")
     model = realize_timelike_triangle(k_prime, tri.a, tri.b, tri.c)
-    fr = np.linspace(0.0, 1.0, max(2, pair_samples))
+    side_p, side_q = _side_points(Y, tri, pair_samples)
+    q_models = [corresponding_point(model, "yz", s_q) for s_q, _ in side_q]
     records = []
-    for up in fr:
-        s_p = up * tri.a
-        p = tri.x if s_p == 0.0 else Y.point_on_maximizer(tri.x, tri.y, s_p)
+    for s_p, p in side_p:
         p_model = corresponding_point(model, "xy", s_p)
-        for uq in fr:
-            s_q = uq * tri.b
-            q = tri.y if s_q == 0.0 else Y.point_on_maximizer(tri.y, tri.z, s_q)
-            q_model = corresponding_point(model, "yz", s_q)
+        for (s_q, q), q_model in zip(side_q, q_models):
             tau_c = Y.time_separation(p, q)
             tau_m = model_tau(k_prime, p_model, q_model)
             counted = tau_c > _TIMELIKE_FLOOR and tau_m > _TIMELIKE_FLOOR
@@ -254,13 +255,6 @@ class CurvatureReport:
                 fileobj.close()
 
 
-def _thread_count():
-    try:
-        return max(1, int(os.environ.get("LORCONE_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
 def _aggregate(report_rows, violation_sign, report_tol, scale_of):
     """Rank violations normalized by per-triangle scale; the binding pair's
     raw violation and its own tolerance are what the report carries."""
@@ -303,59 +297,11 @@ def certify_bound(Y: GeneralizedCone, k_prime: float, direction: str,
     every counted pair; "above" requires tau_cone >= tau_model - tol.
     Identical seeds give identical reports.
     """
-    if direction not in ("below", "above"):
-        raise ValueError("direction must be 'below' or 'above'")
-    spec = _as_spec(sampling)
-    seeds = np.random.SeedSequence(spec.seed).spawn(spec.n_triangles)
-
-    def run_one(args):
-        idx, child = args
-        rng = np.random.default_rng(child)
-        tri, counts = _draw_triangle(Y, spec, rng)
-        if tri is None:
-            return idx, None, None, counts
-        records = compare_corresponding_points(Y, tri, k_prime,
-                                               spec.pair_samples)
-        return idx, tri, records, counts
-
-    results = _run_sampling(run_one, seeds)
-    report_rows = [(i, tri, recs) for i, tri, recs, _ in results if tri is not None]
-    exhausted = sum(1 for _, tri, _, _ in results if tri is None)
-    retry_counts = {"window": 0, "lift": 0}
-    for _, _, _, c in results:
-        for k in retry_counts:
-            retry_counts[k] += c[k]
-    if not report_rows:
-        raise SamplingExhaustedError(
-            "all triangle draws failed their preconditions", counts=retry_counts)
     # below-bound: tau_cone <= tau_model, so positive gap is the violation
-    sign = 1.0 if direction == "below" else -1.0
-    worst, tol, witness, pairs, informational, rows = _aggregate(
-        report_rows, sign, report_tol, lambda tri: max(1.0, tri.c))
-    verdict = "violated" if worst > tol else "consistent"
-    return CurvatureReport("cone", direction, k_prime, None, len(report_rows),
-                           pairs, worst, witness, verdict, tol,
-                           informational, exhausted, retry_counts, rows)
-
-
-def _as_spec(sampling) -> SamplingSpec:
-    if sampling is None:
-        return SamplingSpec()
-    if isinstance(sampling, SamplingSpec):
-        return sampling
-    return SamplingSpec(**sampling)
-
-
-def _run_sampling(run_one, seeds):
-    jobs = list(enumerate(seeds))
-    n_threads = _thread_count()
-    if n_threads > 1:
-        with ThreadPoolExecutor(max_workers=n_threads) as pool:
-            results = list(pool.map(run_one, jobs))
-    else:
-        results = [run_one(j) for j in jobs]
-    results.sort(key=lambda r: r[0])
-    return results
+    return _certify(Y, "cone", direction, k_prime, None, sampling, report_tol,
+                    lambda tri, n: compare_corresponding_points(Y, tri, k_prime, n),
+                    1.0 if direction == "below" else -1.0,
+                    lambda tri: max(1.0, tri.c))
 
 
 def fiber_bound_from_cone(Y: GeneralizedCone, K: float, k_prime: float,
@@ -369,37 +315,49 @@ def fiber_bound_from_cone(Y: GeneralizedCone, K: float, k_prime: float,
     direction "below": a lower fiber bound K requires
     d_fiber >= d_model - tol; "above" requires d_fiber <= d_model + tol.
     """
+    # lower fiber bound: d_actual >= d_model, so negative gap is the violation
+    return _certify(Y, "fiber", direction, k_prime, K, sampling, report_tol,
+                    lambda tri, n: _fiber_records(Y, tri, K, n),
+                    -1.0 if direction == "below" else 1.0,
+                    lambda tri: 1.0)
+
+
+def _as_spec(sampling) -> SamplingSpec:
+    if sampling is None:
+        return SamplingSpec()
+    if isinstance(sampling, SamplingSpec):
+        return sampling
+    return SamplingSpec(**sampling)
+
+
+def _certify(Y, bound_space, direction, k_prime, k_fiber, sampling, report_tol,
+             records_of, violation_sign, scale_of):
+    """The sampling driver behind both checks: draws one seeded triangle per
+    spawned seed, records its pairs with ``records_of(tri, pair_samples)``
+    and ranks ``violation_sign * gap`` per ``scale_of(tri)``."""
     if direction not in ("below", "above"):
         raise ValueError("direction must be 'below' or 'above'")
     spec = _as_spec(sampling)
-    seeds = np.random.SeedSequence(spec.seed).spawn(spec.n_triangles)
-
-    def run_one(args):
-        idx, child = args
-        rng = np.random.default_rng(child)
-        tri, counts = _draw_triangle(Y, spec, rng)
-        if tri is None:
-            return idx, None, None, counts
-        records = _fiber_records(Y, tri, K, spec.pair_samples)
-        return idx, tri, records, counts
-
-    results = _run_sampling(run_one, seeds)
-    report_rows = [(i, tri, recs) for i, tri, recs, _ in results if tri is not None]
-    exhausted = sum(1 for _, tri, _, _ in results if tri is None)
+    report_rows = []
+    exhausted = 0
     retry_counts = {"window": 0, "lift": 0}
-    for _, _, _, c in results:
+    seeds = np.random.SeedSequence(spec.seed).spawn(spec.n_triangles)
+    for idx, child in enumerate(seeds):
+        tri, counts = _draw_triangle(Y, spec, np.random.default_rng(child))
         for k in retry_counts:
-            retry_counts[k] += c[k]
+            retry_counts[k] += counts[k]
+        if tri is None:
+            exhausted += 1
+        else:
+            report_rows.append((idx, tri, records_of(tri, spec.pair_samples)))
     if not report_rows:
         raise SamplingExhaustedError(
             "all triangle draws failed their preconditions", counts=retry_counts)
-    # lower fiber bound: d_actual >= d_model, so negative gap is the violation
-    sign = -1.0 if direction == "below" else 1.0
     worst, tol, witness, pairs, informational, rows = _aggregate(
-        report_rows, sign, report_tol, lambda tri: 1.0)
+        report_rows, violation_sign, report_tol, scale_of)
     verdict = "violated" if worst > tol else "consistent"
-    return CurvatureReport("fiber", direction, k_prime, K, len(report_rows),
-                           pairs, worst, witness, verdict, tol,
+    return CurvatureReport(bound_space, direction, k_prime, k_fiber,
+                           len(report_rows), pairs, worst, witness, verdict, tol,
                            informational, exhausted, retry_counts, rows)
 
 
@@ -412,18 +370,19 @@ def _fiber_records(Y, tri, K, pair_samples):
     realized = realize_metric_triangle(K, d_xy, d_xz, d_yz)
     mx, my, mz = realized.points
     surface = realized.space
-    fr = np.linspace(0.0, 1.0, max(2, pair_samples))
+
+    def model_point(start, m0, m1, d, pt):
+        # the point at the same fiber distance from the model vertex
+        if d <= 1e-15:
+            return m0
+        return surface.geodesic_point(m0, m1, Y.fiber.distance(start, pt.x) / d)
+
+    side_p, side_q = _side_points(Y, tri, pair_samples)
+    q_models = [model_point(yb, my, mz, d_yz, q) for _, q in side_q]
     records = []
-    for up in fr:
-        s_p = up * tri.a
-        p = tri.x if s_p == 0.0 else Y.point_on_maximizer(tri.x, tri.y, s_p)
-        sigma_p = Y.fiber.distance(xb, p.x)
-        pm = mx if d_xy <= 1e-15 else surface.geodesic_point(mx, my, sigma_p / d_xy)
-        for uq in fr:
-            s_q = uq * tri.b
-            q = tri.y if s_q == 0.0 else Y.point_on_maximizer(tri.y, tri.z, s_q)
-            sigma_q = Y.fiber.distance(yb, q.x)
-            qm = my if d_yz <= 1e-15 else surface.geodesic_point(my, mz, sigma_q / d_yz)
+    for s_p, p in side_p:
+        pm = model_point(xb, mx, my, d_xy, p)
+        for (s_q, q), qm in zip(side_q, q_models):
             d_actual = Y.fiber.distance(p.x, q.x)
             d_model = surface.distance(pm, qm)
             records.append(PairRecord(s_p, s_q, d_actual, d_model,

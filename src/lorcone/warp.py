@@ -6,9 +6,11 @@ interval extrema.  :class:`NullTransport` packages the null-parameter
 integral ``F(r) = int_{p0}^r 1/f`` together with its inverse ``h`` and the
 forward/backward horizons.  For the seven analytic kinds all three are
 elementary closed forms, with horizons taken as the analytic limits toward
-the interval ends (infinite where ``1/f`` is not integrable).  Only sampled
-warps integrate numerically: adaptive quadrature for ``F`` and a geometric
-march toward each end for the table behind ``h`` and the horizons.
+the interval ends (infinite where ``1/f`` is not integrable).  Sampled warps
+use one table of per-knot-piece integrals of ``1/f``: exact logarithms for
+linear interpolation, Gauss-Legendre with a two-resolution check for cubic
+splines.  ``F`` adds table entries and partial pieces, the horizons are ``F``
+at the finite interval ends, and ``h`` inverts ``F`` within one piece.
 """
 
 from __future__ import annotations
@@ -26,13 +28,6 @@ CLOSED_FORM_KINDS = ("constant", "identity", "sin", "cos", "cosh", "exp", "power
 KINDS = CLOSED_FORM_KINDS + ("sampled",)
 
 _TWO_PI = 2.0 * math.pi
-
-# Horizon detection for sampled warps: geometric endpoint refinement stops
-# when either the partial integral exceeds the cap (declared infinite) or the
-# last increment is negligible (declared finite).
-HORIZON_CAP = 1e12
-_HORIZON_STEPS = 64
-_HORIZON_ATOL = 1e-13
 
 
 @lru_cache(maxsize=32)
@@ -177,13 +172,20 @@ class WarpSpec:
 
     # -- evaluation ------------------------------------------------------------
 
+    def _knots(self):
+        """The sampled grid as arrays (t_i, f_i)."""
+        cached = getattr(self, "_knots_cache", None)
+        if cached is None:
+            cached = (np.array([t for t, _ in self.samples]),
+                      np.array([v for _, v in self.samples]))
+            object.__setattr__(self, "_knots_cache", cached)
+        return cached
+
     def _spline(self):
         cached = getattr(self, "_spline_cache", None)
         if cached is None:
             from scipy.interpolate import CubicSpline
-            ts = np.array([t for t, _ in self.samples])
-            vs = np.array([v for _, v in self.samples])
-            cached = CubicSpline(ts, vs)
+            cached = CubicSpline(*self._knots())
             object.__setattr__(self, "_spline_cache", cached)
         return cached
 
@@ -216,9 +218,7 @@ class WarpSpec:
             if self.interpolation == "cubic":
                 out = np.asarray(self._spline()(arr), dtype=float)
             else:
-                ts = np.array([t0 for t0, _ in self.samples])
-                vs = np.array([v for _, v in self.samples])
-                out = np.interp(arr, ts, vs)
+                out = np.interp(arr, *self._knots())
         if np.any(out <= 0):
             raise DomainError("warp evaluated non-positive (domain violation)")
         return float(out) if np.isscalar(t) or np.ndim(t) == 0 else out
@@ -319,7 +319,7 @@ class WarpSpec:
         return self._sampled_extremum(s, t, minimum)
 
     def _sampled_extremum(self, s, t, minimum):
-        ts = np.array([t0 for t0, _ in self.samples])
+        ts = self._knots()[0]
         inside = ts[(ts > s) & (ts < t)]
         cand = [self(s), self(t)] + [self(u) for u in inside]
         if self.interpolation == "cubic":
@@ -356,61 +356,87 @@ class WarpSpec:
         return -width, width
 
 
-def _inv_integrand(w):
-    return lambda t: 1.0 / w(t)
+# -- sampled-warp integrals of 1/f ------------------------------------------------
+#
+# Every interval below lies inside one knot piece, where f is a single linear
+# or cubic polynomial.
+
+# Gauss-Legendre nodes per cubic piece; the table checks them against half
+# as many
+_CUBIC_NODES = 32
 
 
-def _quad_inverse(w, lo, hi):
-    """Adaptive Gauss-Kronrod integral of 1/f over [lo, hi] (signed)."""
-    from scipy import integrate
-    if lo == hi:
-        return 0.0
-    sign = 1.0
-    if hi < lo:
-        lo, hi, sign = hi, lo, -1.0
-    if w.kind == "sampled" and w.interpolation == "linear":
-        return sign * _piecewise_linear_inverse(w, lo, hi)
-    # sampled cubic warps have interpolation kinks at the grid knots;
-    # integrate each smooth piece separately
-    edges = [lo, hi]
-    if w.kind == "sampled":
-        edges = [lo] + [t for t, _ in w.samples if lo < t < hi] + [hi]
-    total = 0.0
-    err_total = 0.0
-    for a, b in zip(edges[:-1], edges[1:]):
-        val, err = integrate.quad(_inv_integrand(w), a, b,
-                                  epsabs=w.quad_tol, epsrel=w.quad_tol,
-                                  limit=200)
-        total += val
-        err_total += err
-    if (not math.isfinite(total)
-            or err_total > 1e4 * w.quad_tol * max(1.0, abs(total))):
-        raise QuadratureError(
-            f"quadrature of 1/f over [{lo}, {hi}] did not converge",
-            estimate=err_total)
-    return sign * total
+def _piece_integrals(warp, lo, hi, nodes=_CUBIC_NODES):
+    """Signed int_lo^hi 1/f for intervals [lo, hi] that each lie inside one
+    knot piece of a sampled warp (elementwise for arrays).  Linear pieces use
+    the exact log(f_hi / f_lo) / slope, as (hi - lo) log1p(delta) / (f_lo delta)
+    with delta = (f_hi - f_lo) / f_lo, which stays exact on flat pieces;
+    cubic pieces use Gauss-Legendre on the spline."""
+    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+    if warp.interpolation == "linear":
+        ts, vs = warp._knots()
+        f_lo, f_hi = np.interp(lo, ts, vs), np.interp(hi, ts, vs)
+        delta = (f_hi - f_lo) / f_lo
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio = np.where(delta == 0.0, 1.0, np.log1p(delta) / delta)
+        return (hi - lo) * ratio / f_lo
+    x, w = _leggauss(nodes)
+    half = 0.5 * (hi - lo)
+    fs = warp._spline()((0.5 * (lo + hi))[..., None] + half[..., None] * x)
+    if np.any(fs <= 0):
+        raise DomainError("cubic interpolation dips below zero between samples")
+    return half * np.sum(w / fs, axis=-1)
 
 
-def _piecewise_linear_inverse(w, lo, hi):
-    """Exact integral of 1/f over [lo, hi] for a linearly interpolated warp:
-    each piece contributes log(f_b / f_a) / slope."""
-    knots = [lo] + [t for t, _ in w.samples if lo < t < hi] + [hi]
-    ts = np.array(knots)
-    fs = np.asarray(w(ts))
-    dts = np.diff(ts)
-    slopes = np.diff(fs) / dts
-    flat = np.abs(slopes) < 1e-14 * np.maximum(1.0, np.abs(fs[:-1]))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        logs = np.log(fs[1:] / fs[:-1]) / slopes
-    pieces = np.where(flat, dts / fs[:-1], logs)
-    return float(np.sum(pieces))
+def _piece_table(warp):
+    """The knots of a sampled warp and int_{t_i}^{t_{i+1}} 1/f for each piece,
+    computed once per warp.  Cubic pieces are checked against a rule of half
+    the nodes and raise QuadratureError when the two differ by more than
+    ``quad_tol``."""
+    cached = getattr(warp, "_piece_cache", None)
+    if cached is None:
+        ts = warp._knots()[0]
+        pieces = _piece_integrals(warp, ts[:-1], ts[1:])
+        if warp.interpolation == "cubic":
+            coarse = _piece_integrals(warp, ts[:-1], ts[1:], _CUBIC_NODES // 2)
+            err = float(np.sum(np.abs(pieces - coarse)))
+            if err > warp.quad_tol * max(1.0, float(np.sum(pieces))):
+                raise QuadratureError(
+                    "Gauss-Legendre integrals of 1/f over the spline pieces "
+                    "did not converge", estimate=err)
+        cached = (ts, pieces)
+        object.__setattr__(warp, "_piece_cache", cached)
+    return cached
 
 
-# -- closed-form null transport ---------------------------------------------------
+def _piece_solve(warp, x0, x1, sigma):
+    """The r between nodes x0 and x1 (inside one knot piece) with
+    int_{x0}^r 1/f = sigma; x1 when sigma reaches the whole sub-piece."""
+    if sigma == 0.0:
+        return x0
+    lo, hi = sorted((x0, x1))
+    if warp.interpolation == "linear":
+        f0, f1 = np.interp((x0, x1), *warp._knots())
+        # f = f0 + m (t - x0) gives r = x0 + f0 expm1(m sigma) / m
+        y = (f1 - f0) / (x1 - x0) * sigma
+        r = x0 + f0 * sigma * (math.expm1(y) / y if y != 0.0 else 1.0)
+        return min(max(r, lo), hi)
+    from scipy.optimize import brentq
+
+    def gap(r):
+        return float(_piece_integrals(warp, x0, r)) - sigma
+
+    if gap(x1) * sigma <= 0.0:
+        return x1
+    return float(brentq(gap, lo, hi, xtol=1e-15 * max(1.0, abs(lo), abs(hi)),
+                        rtol=8.9e-16, maxiter=200))
+
+
+# -- null transport forms ---------------------------------------------------------
 #
 # Each form below holds F(r) = int_{p0}^r 1/f, its inverse h and the horizons
-# (``lower``, ``upper``) of one analytic kind, written so that F loses no
-# digits to cancellation when r is near p0 or the terms are large.
+# (``lower``, ``upper``) of one warp kind, written so that F loses no digits
+# to cancellation when r is near p0 or the terms are large.
 
 _EXP_MAX = math.log(sys.float_info.max)
 # A computed arch phase carries this much rounding per unit of its terms; an
@@ -569,8 +595,50 @@ class _Arch:
         return (phase - self._offset) / self.w
 
 
-def _closed_transport(warp, p0):
-    """The closed-form transport of an analytic warp from p0 (None if sampled)."""
+class _Sampled:
+    """A sampled warp: p0 joins the knots as a node, and F at every node is a
+    sum of whole-piece integrals from the warp's table plus the partial piece
+    next to p0.  F(r) adds to the node value at the end of r's piece that
+    faces p0 the integral over the rest of that piece, so all terms share one
+    sign and F keeps its relative accuracy near p0.  h locates s among the
+    node values and solves the same partial integral inside one piece, so h
+    and F agree to rounding.  The horizons are F at the interval ends, which
+    lie inside the finite grid where f > 0."""
+
+    def __init__(self, warp, p0):
+        self.warp, self.p0 = warp, p0
+        knots, pieces = _piece_table(warp)
+        lo = int(np.searchsorted(knots, p0, side="left"))    # knots[lo - 1] < p0
+        hi = int(np.searchsorted(knots, p0, side="right"))   # p0 < knots[hi]
+        near = _piece_integrals(warp, (knots[lo - 1], p0), (p0, knots[hi]))
+        below = near[0] + np.concatenate(([0.0], np.cumsum(pieces[:lo - 1][::-1])))
+        above = near[1] + np.concatenate(([0.0], np.cumsum(pieces[hi:])))
+        self._nodes = np.concatenate((knots[:lo], [p0], knots[hi:]))
+        self._F = np.concatenate((-below[::-1], [0.0], above))
+        self.lower, self.upper = self.F(warp.a), self.F(warp.b)
+
+    def F(self, r):
+        if r >= self.p0:
+            j = int(np.searchsorted(self._nodes, r, side="right")) - 1
+        else:
+            j = int(np.searchsorted(self._nodes, r, side="left"))
+        return float(self._F[j] + _piece_integrals(self.warp, self._nodes[j], r))
+
+    def h(self, s):
+        if s > 0.0:
+            j = min(int(np.searchsorted(self._F, s, side="right")) - 1,
+                    len(self._F) - 2)
+            k = j + 1
+        else:
+            j = max(int(np.searchsorted(self._F, s, side="left")), 1)
+            k = j - 1
+        return float(_piece_solve(self.warp, self._nodes[j], self._nodes[k],
+                                  s - self._F[j]))
+
+
+def _transport(warp, p0):
+    """The transport form of a warp from p0: closed form for the analytic
+    kinds, the knot table for sampled warps."""
     k, A, w, a, b = warp.kind, warp.amplitude, warp.rate, warp.a, warp.b
     if k == "constant":
         return _Linear(warp.c, p0, a, b)
@@ -584,7 +652,7 @@ def _closed_transport(warp, p0):
         return _Cosh(A, abs(w), p0, a, b)
     if k in ("sin", "cos"):
         return _Arch(warp, p0)
-    return None
+    return _Sampled(warp, p0)
 
 
 class NullTransport:
@@ -593,10 +661,9 @@ class NullTransport:
     Holds the strictly increasing map ``F(r) = int_{p0}^r 1/f`` (negative for
     r < p0), its inverse ``h`` and the horizons ``a_p0 <= 0 <= b_p0``, the
     limits of F toward the interval ends, which may be infinite.  The seven
-    analytic kinds evaluate all three in closed form, with no quadrature.
-    Sampled warps integrate: F by adaptive quadrature, the horizons by a
-    geometric march toward each end that reports divergent improper integrals
-    as infinite, and h by bracketed root refinement on the marched table.
+    analytic kinds evaluate all three in closed form.  Sampled warps build
+    them from the warp's table of exact per-knot-piece integrals of 1/f, so
+    their horizons are finite and h solves inside a single piece.
     """
 
     def __init__(self, warp: WarpSpec, p0: float):
@@ -604,75 +671,15 @@ class NullTransport:
             raise DomainError(f"base point {p0} outside ({warp.a}, {warp.b})")
         self.warp = warp
         self.p0 = float(p0)
-        self._form = _closed_transport(warp, self.p0)
-        if self._form is not None:
-            self.backward_horizon = self._form.lower
-            self.forward_horizon = self._form.upper
-            return
-        r_fwd, f_fwd, self.forward_horizon = self._march(+1)
-        r_bwd, f_bwd, back = self._march(-1)
-        self.backward_horizon = back
-        self._r_tab = np.concatenate((r_bwd[::-1], [self.p0], r_fwd))
-        self._f_tab = np.concatenate((f_bwd[::-1], [0.0], f_fwd))
-
-    def _march(self, direction):
-        """Geometric refinement toward one endpoint; returns (nodes, F values,
-        horizon)."""
-        w, p0 = self.warp, self.p0
-        end = w.b if direction > 0 else w.a
-        rs, fs = [], []
-        total = 0.0
-        prev = p0
-        horizon = math.inf * direction
-        if math.isfinite(end):
-            gaps = (end - p0) * 0.5 ** np.arange(1, _HORIZON_STEPS + 1)
-            nodes = end - gaps
-        else:
-            nodes = p0 + direction * 2.0 ** np.arange(0, _HORIZON_STEPS)
-        for k, r in enumerate(nodes):
-            inc = self._piece(prev, r)
-            if not math.isfinite(inc) or abs(total + inc) > HORIZON_CAP:
-                return np.array(rs), np.array(fs), horizon
-            total += inc
-            rs.append(r)
-            fs.append(total)
-            prev = r
-            if abs(inc) < _HORIZON_ATOL * max(1.0, abs(total)):
-                # converged; for a finite endpoint add the closing sliver
-                if math.isfinite(end):
-                    tail = self._piece(prev, end - (end - prev) * 1e-12)
-                    if math.isfinite(tail):
-                        total += tail
-                return np.array(rs), np.array(fs), total
-        return np.array(rs), np.array(fs), horizon
-
-    def _piece(self, lo, hi):
-        if lo == hi:
-            return 0.0
-        ts, ws = _gl_nodes(lo, hi, 32)
-        try:
-            vals = 1.0 / self.warp(ts)
-        except (DomainError, FloatingPointError):
-            return math.inf if hi > lo else -math.inf
-        with np.errstate(over="ignore", invalid="ignore"):
-            out = float(np.sum(ws * vals))
-        return out
+        self._form = _transport(warp, self.p0)
+        self.backward_horizon = self._form.lower
+        self.forward_horizon = self._form.upper
 
     def null_parameter(self, r):
-        """F(r) = int_{p0}^r 1/f (signed): closed form for analytic kinds,
-        adaptive quadrature for sampled warps."""
+        """F(r) = int_{p0}^r 1/f (signed)."""
         if not self.warp.a < r < self.warp.b:
             raise DomainError(f"{r} outside ({self.warp.a}, {self.warp.b})")
-        if self._form is None:
-            return _quad_inverse(self.warp, self.p0, r)
         return self._form.F(float(r))
-
-    def _table_value(self, r):
-        """F(r) via the cached table plus a local refinement integral."""
-        idx = int(np.searchsorted(self._r_tab, r))
-        idx = min(max(idx, 1), len(self._r_tab) - 1)
-        base_i = idx if abs(self._r_tab[idx] - r) < abs(self._r_tab[idx - 1] - r) else idx - 1
-        return self._f_tab[base_i] + self._piece(self._r_tab[base_i], r)
 
     def h_solve(self, s):
         """h(s): the unique r with F(r) = s, for s in (a_p0, b_p0)."""
@@ -682,20 +689,11 @@ class NullTransport:
                 f"{self.forward_horizon})")
         if s == 0.0:
             return self.p0
-        if self._form is not None:
-            return self._inside(self._form.h(float(s)), s)
-        from scipy.optimize import brentq
-        lo, hi = self._bracket(s)
-        if lo == hi:
-            return lo
-        r = brentq(lambda x: self._table_value(x) - s, lo, hi,
-                   xtol=1e-13 * max(1.0, abs(lo), abs(hi)), rtol=8.9e-16,
-                   maxiter=200)
-        return float(r)
+        return self._inside(self._form.h(float(s)), s)
 
     def _inside(self, r, s):
-        """A closed-form h(s) that rounded onto or past an interval end moves to
-        the nearest float inside; past an infinite end it is not representable."""
+        """An h(s) that rounded onto or past an interval end moves to the
+        nearest float inside; past an infinite end it is not representable."""
         a, b = self.warp.a, self.warp.b
         if a < r < b:
             return r
@@ -703,34 +701,6 @@ class NullTransport:
         if math.isnan(r) or math.isinf(end):
             raise RangeError(f"h({s}) beyond representable range")
         return math.nextafter(end, self.p0)
-
-    def _bracket(self, s):
-        tab_r, tab_f = self._r_tab, self._f_tab
-        i = int(np.searchsorted(tab_f, s))
-        if 0 < i < len(tab_f):
-            return tab_r[i - 1], tab_r[i]
-        # beyond the cached table but inside the horizons: extend geometrically
-        w, p0 = self.warp, self.p0
-        if s > 0:
-            end, lo = w.b, tab_r[-1]
-            flo = tab_f[-1]
-        else:
-            end, lo = w.a, tab_r[0]
-            flo = tab_f[0]
-        direction = 1.0 if s > 0 else -1.0
-        r, fval = lo, flo
-        for _ in range(4096):
-            if math.isfinite(end):
-                nxt = r + 0.5 * (end - r)
-            else:
-                nxt = r + direction * max(1.0, abs(r))
-            if not math.isfinite(nxt) or abs(nxt) > 1e300:
-                raise RangeError(f"h({s}) beyond representable range")
-            fnxt = fval + self._piece(r, nxt)
-            if (s > 0 and fnxt >= s) or (s < 0 and fnxt <= s):
-                return (r, nxt) if r < nxt else (nxt, r)
-            r, fval = nxt, fnxt
-        raise RangeError(f"could not bracket h({s})")
 
 
 @dataclass(frozen=True)

@@ -8,27 +8,28 @@ import pytest
 from lorcone import (EuclideanN, GeneralizedCone, Hyperbolic2, LiftError,
                      RealLine, Sphere2, WarpSpec, certify_bound,
                      compare_corresponding_points, fiber_bound_from_cone,
-                     lift_fiber_triangle, size_bounds_check)
+                     lift_fiber_triangle)
 from lorcone.comparison import SamplingSpec
 from lorcone.fiber import tripod
+from lorcone.lorentz_model import size_bounds
 
 
 class TestSizeBounds:
     def test_no_restriction_at_zero(self):
-        assert size_bounds_check(0.0, 1.0, 1.0, 3.0)
+        assert size_bounds(0.0, 1.0, 1.0, 3.0)
 
     def test_negative_curvature_pi_bound(self):
-        assert not size_bounds_check(-1.0, 1.0, 1.0, math.pi + 0.1)
-        assert size_bounds_check(-1.0, 1.0, 1.0, 3.0)
+        assert not size_bounds(-1.0, 1.0, 1.0, math.pi + 0.1)
+        assert size_bounds(-1.0, 1.0, 1.0, 3.0)
 
     def test_positive_curvature_equality_branch(self):
-        assert size_bounds_check(1.0, 1.0, 1.0, 2.0)
-        assert not size_bounds_check(1.0, 1.6, 1.6, 3.2)
+        assert size_bounds(1.0, 1.0, 1.0, 2.0)
+        assert not size_bounds(1.0, 1.6, 1.6, 3.2)
         # strict case carries no restriction for K' > 0
-        assert size_bounds_check(1.0, 1.0, 1.0, 4.0)
+        assert size_bounds(1.0, 1.0, 1.0, 4.0)
 
     def test_reverse_triangle_required(self):
-        assert not size_bounds_check(0.0, 1.0, 1.0, 1.5)
+        assert not size_bounds(0.0, 1.0, 1.0, 1.5)
 
 
 class TestLift:
@@ -147,15 +148,6 @@ class TestCertify:
         assert lines[0].startswith("triangle,s_p,s_q")
         assert len(lines) == 1 + len(rep.rows)
         assert "verdict: consistent" in rep.summary()
-
-    def test_threads_env(self, monkeypatch):
-        monkeypatch.setenv("LORCONE_THREADS", "2")
-        Y = GeneralizedCone(WarpSpec.constant(1.0), EuclideanN(2))
-        rep = certify_bound(Y, 0.0, "below", SamplingSpec(n_triangles=8, seed=3))
-        monkeypatch.setenv("LORCONE_THREADS", "1")
-        rep_serial = certify_bound(Y, 0.0, "below",
-                                   SamplingSpec(n_triangles=8, seed=3))
-        assert rep.rows == rep_serial.rows
 
 
 class TestFiberBound:

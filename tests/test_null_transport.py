@@ -1,22 +1,27 @@
-"""Closed-form null transport: F, h and horizons of the seven analytic kinds.
+"""Null transport: F, h and horizons of the seven analytic kinds and of
+sampled warps.
 
-Every kind is checked against two independent routes, the adaptive
-quadrature ``_quad_inverse`` and a 50-digit mpmath quadrature, and through
+Every analytic kind is checked against two independent routes, the adaptive
+quadrature ``quad_inverse`` and a 50-digit mpmath quadrature, and through
 the round trip ``h(F(r)) = r``.  Near a finite horizon F flattens
 (``F' = 1/f``), so a float F pins ``r`` down only to ``eps |F| f(r)``; the
 generated pairs keep that conditioning moderate by bounding ``|w (r - p0)|``
 (exp, cosh) or ``|(1 - p) log(r / p0)|`` (identity, power), not ``|w t|``
-itself.
+itself.  Sampled warps, linear and cubic on 17 to 257 knots, are checked
+against ``quad_inverse`` integrated piece by piece, through both round trips,
+and through ``relate`` on pairs a few null bands off the boundary.
 """
 
 import math
 
+import numpy as np
 import pytest
 import scipy.integrate
 from hypothesis import given, settings, strategies as st
 
-from lorcone import DomainError, NullTransport, RangeError, WarpSpec
-from lorcone.warp import _quad_inverse
+from lorcone import (DomainError, GeneralizedCone, NullTransport,
+                     QuadratureError, RangeError, RealLine, WarpSpec)
+from lorcone.bruteforce import quad_inverse
 
 KINDS = ("constant", "identity", "power", "sin", "cos", "cosh", "exp")
 
@@ -83,7 +88,7 @@ class TestOracles:
     def test_F_matches_quadrature(self, kind, data):
         w, p0, r = data.draw(transport_cases(kind, wt_max=10.0, sep=3.0, margin=0.02))
         nt = NullTransport(w, p0)
-        assert nt.null_parameter(r) == pytest.approx(_quad_inverse(w, p0, r), rel=1e-9)
+        assert nt.null_parameter(r) == pytest.approx(quad_inverse(w, p0, r), rel=1e-9)
 
     @pytest.mark.parametrize("kind", KINDS)
     @settings(max_examples=20, deadline=None)
@@ -310,13 +315,76 @@ class TestEdgeCases:
             nt.h_solve(math.nextafter(nt.forward_horizon, 0.0))
 
 
-def test_analytic_kinds_run_no_quadrature(monkeypatch):
+def _sampled(knots, interpolation, seed=0):
+    """A wiggly positive warp sampled on (0, 4), with a random perturbation
+    per knot so that every knot is a kink."""
+    rng = np.random.default_rng(seed)
+    ts = np.linspace(0.0, 4.0, knots)
+    vs = (1.0 + 0.35 * np.sin(rng.uniform(0.8, 2.0) * ts + rng.uniform(0.0, _TWO_PI))
+          + 0.08 * rng.uniform(-1.0, 1.0, knots))
+    return WarpSpec.sampled(list(zip(ts, vs)), interpolation=interpolation)
+
+
+_SAMPLED = [(interp, knots) for interp in ("linear", "cubic") for knots in (17, 65, 257)]
+_times = st.floats(1e-3, 4.0 - 1e-3)
+
+
+class TestSampled:
+    @pytest.mark.parametrize("interp, knots", _SAMPLED)
+    @settings(max_examples=10, deadline=None)
+    @given(p0=_times, r=_times)
+    def test_F_matches_quadrature(self, interp, knots, p0, r):
+        w = _sampled(knots, interp)
+        got = NullTransport(w, p0).null_parameter(r)
+        assert got == pytest.approx(quad_inverse(w, p0, r), rel=1e-10, abs=1e-300)
+
+    @pytest.mark.parametrize("interp, knots", _SAMPLED)
+    def test_horizons_match_quadrature(self, interp, knots):
+        w = _sampled(knots, interp)
+        for p0 in (0.7, 2.0, w.samples[5][0]):
+            nt = NullTransport(w, p0)
+            assert nt.backward_horizon == pytest.approx(quad_inverse(w, p0, w.a), rel=1e-10)
+            assert nt.forward_horizon == pytest.approx(quad_inverse(w, p0, w.b), rel=1e-10)
+
+    @pytest.mark.parametrize("interp, knots", _SAMPLED)
+    @settings(max_examples=25, deadline=None)
+    @given(p0=_times, r=_times, u=st.floats(0.0, 1.0))
+    def test_h_and_F_invert_each_other(self, interp, knots, p0, r, u):
+        nt = NullTransport(_sampled(knots, interp), p0)
+        assert nt.h_solve(nt.null_parameter(r)) == pytest.approx(
+            r, rel=0.0, abs=1e-12 * max(1.0, abs(r)))
+        s = nt.backward_horizon + u * (nt.forward_horizon - nt.backward_horizon)
+        if nt.backward_horizon < s < nt.forward_horizon:
+            assert nt.null_parameter(nt.h_solve(s)) == pytest.approx(
+                s, rel=0.0, abs=1e-12 * max(1.0, abs(s)))
+
+    @pytest.mark.parametrize("interp", ["linear", "cubic"])
+    @pytest.mark.parametrize("bands, relation", [(5.0, "not_related"),
+                                                 (-5.0, "chronological")])
+    def test_relate_five_bands_off_the_boundary(self, interp, bands, relation):
+        # d = F(q0 + bands * band): the true null boundary h(d) lies that many
+        # bands after q0, well outside the band that counts as null
+        w = _sampled(257, interp)
+        Y = GeneralizedCone(w, RealLine())
+        p0 = 0.7
+        for q0 in (1.3, 2.9, 3.8):
+            d = quad_inverse(w, p0, q0 + bands * Y.null_tol * max(1.0, q0))
+            assert Y.relate(Y.point(p0, 0.0), Y.point(q0, d)).relation == relation
+
+    def test_unresolved_cubic_piece_raises(self):
+        # the spline 1e-4 + (t - 1)^2 puts poles of 1/f 0.01 off the real
+        # axis at a knot, where 16 and 32 Gauss-Legendre nodes disagree
+        w = WarpSpec.sampled([(0.0, 1.0), (1.0, 1e-4), (2.0, 1.0)],
+                             interpolation="cubic")
+        with pytest.raises(QuadratureError):
+            NullTransport(w, 0.5)
+
+
+def test_transport_runs_no_adaptive_quadrature(monkeypatch):
     def refuse(*args, **kwargs):
-        raise AssertionError("numerical integration on an analytic warp")
+        raise AssertionError("adaptive quadrature in the null transport")
 
     monkeypatch.setattr(scipy.integrate, "quad", refuse)
-    monkeypatch.setattr(NullTransport, "_march", refuse)
-    monkeypatch.setattr(NullTransport, "_piece", refuse)
     for warp, p0, r in [
         (WarpSpec.constant(2.0), 0.0, 1.0),
         (WarpSpec.identity(), 1.0, 2.0),
@@ -325,6 +393,8 @@ def test_analytic_kinds_run_no_quadrature(monkeypatch):
         (WarpSpec.cos(), 0.0, 1.0),
         (WarpSpec.cosh(), 0.0, 1.0),
         (WarpSpec.exp(), 0.0, 0.5),
+        (_sampled(65, "linear"), 0.7, 3.1),
+        (_sampled(65, "cubic"), 0.7, 3.1),
     ]:
         nt = NullTransport(warp, p0)
         assert nt.h_solve(nt.null_parameter(r)) == pytest.approx(r, abs=1e-12)
