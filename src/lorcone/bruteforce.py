@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from .errors import QuadratureError
+from .errors import CatalogError, QuadratureError
 
 
 def quad_inverse(w, lo, hi):
@@ -131,12 +131,18 @@ def dp_time_separation(warp, p0, q0, d, n_time=600, n_space=600):
     return float(best[n_space])
 
 
+# concatenation steps enumerate_tau takes before it gives up (about 0.1 s);
+# the count grows exponentially with the curves of a dense cycle
+ENUMERATION_MAX_STEPS = 100_000
+
+
 def enumerate_tau(catalog):
     """Exhaustive longest-concatenation table for small catalogs.
 
     Walks every causal concatenation without revisiting a point except to
     close zero-gain cycles; pairs that can reach a positive-length cycle are
-    reported infinite.  Only usable for small n (exponential).
+    reported infinite.  Only usable for small n (exponential): raises
+    ``CatalogError`` after ``ENUMERATION_MAX_STEPS`` steps.
     """
     n = catalog.n
     idx = catalog.index
@@ -165,7 +171,14 @@ def enumerate_tau(catalog):
         infinite |= np.outer(reach[:, m], reach[m, :])
     values = np.zeros((n, n))
 
+    steps = 0
+
     def dfs(start, u, used, total):
+        nonlocal steps
+        steps += 1
+        if steps > ENUMERATION_MAX_STEPS:
+            raise CatalogError(f"enumeration exceeds {ENUMERATION_MAX_STEPS} "
+                               "concatenation steps")
         if total > values[start, u]:
             values[start, u] = total
         for v, w in out_edges[u]:

@@ -110,12 +110,25 @@ class DiamondBox:
         return self.t_values.size == 0
 
 
+def _kappa_rates(f, kappa, w=1.0):
+    """The rates along the maximizer with conserved momentum kappa at warp
+    values f: the fiber speed b' = kappa / (f sqrt(f^2 + kappa^2)) and the
+    proper-time rate f / sqrt(f^2 + kappa^2), overflow-safe for kappa > 1.
+    The kappa solve passes its quadrature weights as w, which multiply each
+    numerator before the division."""
+    if kappa <= 1.0:
+        root = np.sqrt(f * f + kappa * kappa)
+        return w * kappa / (f * root), w * f / root
+    r = f / kappa
+    root = np.sqrt(r * r + 1.0)
+    return w / (f * root), w * r / root
+
+
 class _Maximizer:
     """Solved maximizing curve between chronologically related points.
 
-    Exposes the fiber-speed primitive b'(t), the fiber progress B(t), the
-    accumulated proper time A(t) and their inverses, all driven by the
-    conserved kappa.
+    Exposes the fiber progress B(t), the accumulated proper time A(t) and
+    their inverses, all driven by the conserved kappa.
     """
 
     def __init__(self, cone, p, q, d, kappa, tau):
@@ -126,36 +139,19 @@ class _Maximizer:
         self.kappa = kappa
         self.tau = tau
 
-    def _beta_dot(self, ts):
-        f = self.cone.warp(np.asarray(ts, dtype=float))
-        k = self.kappa
-        if k == 0.0:
-            return np.zeros_like(f)
-        if k <= 1.0:
-            return k / (f * np.sqrt(f * f + k * k))
-        r = f / k
-        return 1.0 / (f * np.sqrt(r * r + 1.0))
-
-    def _speed_len(self, ts):
-        # d(proper time)/dt = f / sqrt(f^2 + kappa^2)
-        f = self.cone.warp(np.asarray(ts, dtype=float))
-        k = self.kappa
-        if k <= 1.0:
-            return f / np.sqrt(f * f + k * k)
-        r = f / k
-        return (r / np.sqrt(r * r + 1.0))
-
-    def _integrate(self, fn, lo, hi, n=48):
+    def _integrals(self, lo, hi, n=48):
+        """(fiber progress, proper time) accrued from base time lo to hi."""
         if lo == hi:
-            return 0.0
+            return 0.0, 0.0
         ts, ws = _gl_nodes(lo, hi, n)
-        return float(np.sum(ws * fn(ts)))
+        b_dot, tau_dot = _kappa_rates(self.cone.warp(ts), self.kappa)
+        return float((ws * b_dot).sum()), float((ws * tau_dot).sum())
 
     def fiber_progress(self, t):
-        return self._integrate(self._beta_dot, self.p.t, t)
+        return self._integrals(self.p.t, t)[0]
 
     def proper_time(self, t):
-        return self._integrate(self._speed_len, self.p.t, t)
+        return self._integrals(self.p.t, t)[1]
 
     def time_at_tau(self, s):
         if not -1e-12 <= s <= self.tau * (1 + 1e-12) + 1e-12:
@@ -183,8 +179,7 @@ class _Maximizer:
             return CausalPath(tuple(pts))
         # cumulative fiber progress on the sample grid, normalized so the
         # endpoint lands exactly on q
-        incs = [self._integrate(self._beta_dot, a, b, n=16)
-                for a, b in zip(ts[:-1], ts[1:])]
+        incs = [self._integrals(a, b, n=16)[0] for a, b in zip(ts[:-1], ts[1:])]
         B = np.concatenate(([0.0], np.cumsum(incs)))
         total = B[-1] if B[-1] > 0 else 1.0
         us = np.clip(B / total, 0.0, 1.0)
@@ -308,33 +303,15 @@ class GeneralizedCone:
             knots = [t for t, _ in self.warp.samples if lo < t < hi]
             edges = [lo] + knots + [hi]
             ts_list, ws_list = [], []
-            per = max(8, n // max(1, len(edges) - 1))
+            # at least n // 8 nodes per piece, so the rules of the
+            # two-resolution check differ however many knots lie inside
+            per = max(n // 8, n // (len(edges) - 1))
             for a, b in zip(edges[:-1], edges[1:]):
                 t, w = _gl_nodes(a, b, per)
                 ts_list.append(t)
                 ws_list.append(w)
             return np.concatenate(ts_list), np.concatenate(ws_list)
         return _gl_nodes(lo, hi, n)
-
-    @staticmethod
-    def _speed_integral(fv, ws, kappa):
-        """int kappa / (f sqrt(f^2 + kappa^2)), overflow-safe in kappa."""
-        if kappa == 0.0:
-            return 0.0
-        if kappa <= 1.0:
-            return float(np.sum(ws * kappa / (fv * np.sqrt(fv * fv + kappa * kappa))))
-        r = fv / kappa
-        return float(np.sum(ws / (fv * np.sqrt(r * r + 1.0))))
-
-    @staticmethod
-    def _length_integral(fv, ws, kappa):
-        """int f / sqrt(f^2 + kappa^2)."""
-        if kappa == 0.0:
-            return float(np.sum(ws))
-        if kappa <= 1.0:
-            return float(np.sum(ws * fv / np.sqrt(fv * fv + kappa * kappa)))
-        r = fv / kappa
-        return float(np.sum(ws * r / np.sqrt(r * r + 1.0)))
 
     def _solve_kappa(self, lo, hi, d, n):
         ts, ws = self._quad_nodes(lo, hi, n)
@@ -346,7 +323,7 @@ class GeneralizedCone:
                 f"fiber distance {d} at or beyond the null value {inv_total}",
                 bracket=(0.0, math.inf))
         def G(k):
-            return self._speed_integral(fv, ws, k) - d
+            return float(_kappa_rates(fv, k, ws)[0].sum()) - d
         fmid = self.warp(0.5 * (lo + hi))
         delta = hi - lo
         rad = delta * delta - fmid * fmid * d * d
@@ -360,7 +337,7 @@ class GeneralizedCone:
             raise RootFindError("could not bracket the conserved momentum",
                                 bracket=(0.0, k_hi))
         kappa = brentq(G, 0.0, k_hi, xtol=1e-300, rtol=8.9e-16, maxiter=300)
-        tau = self._length_integral(fv, ws, kappa)
+        tau = float(_kappa_rates(fv, kappa, ws)[1].sum())
         return kappa, tau
 
     def _solve_pair(self, lo, hi, d):

@@ -3,10 +3,19 @@
 Each plane is represented through its canonical warped chart over the real
 line: the Minkowski plane for K = 0, warp cosh(sqrt(K) t)/sqrt(K) on all of
 R for K > 0, and warp cos(sqrt(-K) t)/sqrt(-K) on the strip
-|t| < pi/(2 sqrt(-K)) for K < 0.  Time separation and geodesics inside the
-chart delegate to the generalized-cone solver; everything triangle-shaped
-assumes the timelike size bounds, under which the chart realizes the
-canonical comparison configurations.
+|t| < pi/(2 sqrt(-K)) for K < 0.  With s = sqrt|K| the curved charts embed,
+scaled by s, as de Sitter dS2 in R^{1,2} (K > 0, the circle unrolled) and as
+anti-de Sitter AdS2 in R^{2,1} (K < 0):
+
+    K > 0:  (t, x) -> (sinh st, cosh st cos x, cosh st sin x),
+    K < 0:  (t, x) -> (sin st, cos st cosh x, cos st sinh x).
+
+Time separation, comparison triangles and points on their sides are closed
+forms in these embeddings (O'Neill, Semi-Riemannian Geometry, ch. 4); no root
+finder or quadrature runs.  ``model_cone`` keeps the chart as a generalized
+cone, the independent numerical route the tests check the closed forms
+against.  Everything triangle-shaped assumes the timelike size bounds, under
+which the chart realizes the canonical comparison configurations.
 """
 
 from __future__ import annotations
@@ -14,8 +23,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-
-import numpy as np
 
 from .cone import ConePoint, GeneralizedCone
 from .errors import DomainError, RealizationError, TriangleError
@@ -71,12 +78,45 @@ def model_tau(K: float, p: ModelPoint, q: ModelPoint) -> float:
     """Time separation in the model plane; 0 for non-related pairs."""
     if p.K != K or q.K != K:
         raise DomainError("points belong to a different chart")
+    dt = q.t - p.t
+    dx = abs(q.x - p.x)
+    if dt <= 0.0:
+        return 0.0
     if K == 0.0:
-        dt = q.t - p.t
-        dx = q.x - p.x
         rad = dt * dt - dx * dx
-        return math.sqrt(rad) if (dt > 0 and rad > 0) else 0.0
-    return model_cone(K).time_separation(p.as_cone_point(), q.as_cone_point())
+        return math.sqrt(rad) if rad > 0 else 0.0
+    # half-angle forms of cosh(s tau) = <P, Q> in dS2 and cos(s tau) =
+    # -<P, Q> in AdS2, which lose no digits for small tau
+    if K > 0 and dx >= math.pi:
+        return 0.0   # the null transport of the dS2 chart stays below pi
+    s, (S, C), (Sx, _) = _functions(K)
+    rad = S(0.5 * s * dt) ** 2 - C(s * p.t) * C(s * q.t) * Sx(0.5 * dx) ** 2
+    if rad <= 0.0:
+        return 0.0
+    return 2.0 * (math.asinh if K > 0 else math.asin)(math.sqrt(rad)) / s
+
+
+def _functions(K):
+    """s = sqrt|K| with the (sine, cosine) pairs of the embedding in t and in
+    x: dS2 (K > 0) is hyperbolic in t and circular in x, AdS2 the reverse."""
+    if K > 0:
+        return math.sqrt(K), (math.sinh, math.cosh), (math.sin, math.cos)
+    return math.sqrt(-K), (math.sin, math.cos), (math.sinh, math.cosh)
+
+
+def _embed(K, t, x):
+    """The chart point (t, x) on the unit dS2 (K > 0) or AdS2 (K < 0)."""
+    s, (S, C), (Sx, Cx) = _functions(K)
+    return (S(s * t), C(s * t) * Cx(x), C(s * t) * Sx(x))
+
+
+def _chart(K, P):
+    """Chart coordinates (t, x) of an embedded point, x on the branch through
+    x = 0 (|x| < pi for K > 0)."""
+    if K > 0:
+        return math.asinh(P[0]) / math.sqrt(K), math.atan2(P[2], P[1])
+    cos_st = math.sqrt((1.0 - P[0]) * (1.0 + P[0]))
+    return math.asin(P[0]) / math.sqrt(-K), math.asinh(P[2] / cos_st)
 
 
 def size_bounds(K: float, a: float, b: float, c: float,
@@ -145,92 +185,35 @@ def realize_timelike_triangle(K: float, a: float, b: float, c: float,
             f"side c = {c} exceeds the chart's timelike diameter for K={K}")
     x = ModelPoint(K, t0, 0.0)
     z = ModelPoint(K, t0 + c, 0.0)
-    ty, xy_ = _flat_apex(a, b, c, t0)
     if K == 0.0 or a <= 0.0 or b <= 0.0 or abs(c - (a + b)) <= 1e-12 * max(1.0, c):
-        y = ModelPoint(K, ty, xy_)
-        tri = ModelTriangle(K, x, y, z, a, b, c)
-        _check_residual(tri, tol)
-        return tri
-    # K != 0: the apex candidates y(kappa) sweep the level set tau(x, y) = a
-    # along geodesics from x with conserved momentum kappa >= 0; the single
-    # remaining equation tau(y, z) = b is solved by bracketed root finding.
-    y = _apex_on_level_set(K, x, z, a, b, c, tol)
+        y = ModelPoint(K, *_flat_apex(a, b, c, t0))
+    else:
+        y = _curved_apex(K, a, b, c, t0)
     tri = ModelTriangle(K, x, y, z, a, b, c)
     _check_residual(tri, tol)
     return tri
 
 
-def _apex_on_level_set(K, x, z, a, b, c, tol):
-    from scipy.optimize import brentq
-    from .warp import _gl_nodes
-    cone = model_cone(K)
-    w = cone.warp
-    zc = z.as_cone_point()
-
-    def integrals(kappa, t):
-        ts, ws = _gl_nodes(x.t, t, 96)
-        f = w(ts)
-        if kappa <= 1.0:
-            root = np.sqrt(f * f + kappa * kappa)
-            return (float(np.sum(ws * f / root)),
-                    float(np.sum(ws * kappa / (f * root))))
-        r = f / kappa
-        root = np.sqrt(r * r + 1.0)
-        return (float(np.sum(ws * r / root)),
-                float(np.sum(ws / (f * root))))
-
-    def y_of(kappa):
-        if kappa == 0.0:
-            return ModelPoint(K, x.t + a, x.x)
-        # proper time accrues at rate <= 1, so t >= x.t + a; expand upward
-        lo_t = x.t + a
-        hi_t = lo_t
-        span = max(a, 1.0)
-        for _ in range(200):
-            cand = hi_t + span
-            if cand >= w.b:
-                cand = w.b - (w.b - hi_t) * 1e-9
-            hi_t = cand
-            if integrals(kappa, hi_t)[0] >= a:
-                break
-            if w.b - hi_t <= abs(w.b) * 1e-12 + 1e-300:
-                return None   # level set leaves the chart along this geodesic
-            span *= 2.0
-        else:
-            return None
-        if integrals(kappa, lo_t)[0] >= a:
-            t_a = lo_t
-        else:
-            t_a = brentq(lambda t: integrals(kappa, t)[0] - a, lo_t, hi_t,
-                         xtol=1e-13 * max(1.0, abs(lo_t), abs(hi_t)),
-                         rtol=8.9e-16, maxiter=200)
-        return ModelPoint(K, float(t_a), x.x + integrals(kappa, t_a)[1])
-
-    def remaining(kappa):
-        y = y_of(kappa)
-        if y is None:
-            return -b - 1.0
-        return cone.time_separation(y.as_cone_point(), zc) - b
-
-    g0 = remaining(0.0)
-    if g0 < -tol * max(1.0, c):
-        raise RealizationError(
-            f"no apex on the tau = {a} level set reaches tau(y, z) = {b}",
-            residual=g0)
-    if abs(g0) <= 0.25 * tol * max(1.0, c):
-        return y_of(0.0)
-    k_hi = 1e-3
-    for _ in range(600):
-        if remaining(k_hi) < 0.0:
-            break
-        k_hi *= 2.0
-    else:
-        raise RealizationError(
-            f"could not bracket the apex momentum for K={K}; sides "
-            f"({a}, {b}, {c})")
-    kappa = brentq(remaining, 0.0, k_hi, xtol=1e-300, rtol=8.9e-16,
-                   maxiter=300)
-    return y_of(kappa)
+def _curved_apex(K, a, b, c, t0):
+    """y' = C(sa) x' + S(sa) v on the geodesic from x' = (t0, 0) whose unit
+    tangent v makes the hyperbolic angle theta with side xz.  The law of
+    cosines of the model plane, cosh(sb) = cosh(sa) cosh(sc) - sinh(sa)
+    sinh(sc) cosh(theta) in dS2 and cos(sb) = cos(sa) cos(sc) + sin(sa)
+    sin(sc) cosh(theta) in AdS2, gives sinh^2(theta/2) through the defect
+    c - a - b > 0 without cancellation."""
+    s, (S, C), _ = _functions(K)
+    sh2 = (S(0.5 * s * (c - a + b)) * S(0.5 * s * (c - a - b))
+           / (S(s * a) * S(s * c)))
+    cosh_th = 1.0 + 2.0 * sh2
+    sinh_th = 2.0 * math.sqrt(sh2 * (1.0 + sh2))
+    # x' = (S, C, 0) and the unit tangent (C, +-S, 0) of side xz at x'
+    al = s * t0
+    X = (S(al), C(al))
+    T = (C(al), S(al) if K > 0 else -S(al))
+    ca, sa = C(s * a), S(s * a)
+    P = (ca * X[0] + sa * cosh_th * T[0], ca * X[1] + sa * cosh_th * T[1],
+         sa * sinh_th)
+    return ModelPoint(K, *_chart(K, P))
 
 
 def _check_residual(tri: ModelTriangle, tol: float):
@@ -257,9 +240,17 @@ def corresponding_point(tri: ModelTriangle, side: str, s: float) -> ModelPoint:
     if tri.K == 0.0:
         u = s / length
         return ModelPoint(tri.K, v0.t + u * (v1.t - v0.t), v0.x + u * (v1.x - v0.x))
-    cone = model_cone(tri.K)
-    pt = cone.point_on_maximizer(v0.as_cone_point(), v1.as_cone_point(), s)
-    return ModelPoint(tri.K, pt.t, pt.x)
+    # [S(k(l - s)) P0 + S(k s) P1] / S(k l) with l the side's own model tau,
+    # placed with v0 at x = 0 so the chart branch is v0's
+    ell = model_tau(tri.K, v0, v1)
+    s = min(s, ell)
+    k, (S, _), _ = _functions(tri.K)
+    w0 = S(k * (ell - s)) / S(k * ell)
+    w1 = S(k * s) / S(k * ell)
+    P0 = _embed(tri.K, v0.t, 0.0)
+    P1 = _embed(tri.K, v1.t, v1.x - v0.x)
+    t, x = _chart(tri.K, tuple(w0 * u + w1 * v for u, v in zip(P0, P1)))
+    return ModelPoint(tri.K, t, v0.x + x)
 
 
 def modified_distance(K: float, E: float) -> float:

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from lorcone import (CausalPath, EuclideanN, GeneralizedCone,
                      IndeterminateRelationError, NotCausalError, RealLine,
@@ -117,6 +118,56 @@ class TestTimeSeparation:
             checked += 1
             assert (Y.time_separation(p, q) + Y.time_separation(q, r)
                     <= Y.time_separation(p, r) + 1e-8)
+
+
+def _linear_piece_tau(warp, lo, hi, d):
+    """Exact tau of the linearly interpolated warp: on a piece f = f_a + m t
+    of width h, with g = sqrt(f^2 + kappa^2),
+    int f / g = [g] / m = h (f_a + f_b) / (g_a + g_b) and
+    int kappa / (f g) = [-asinh(kappa / f)] / m = q asinh(m q) / (m q) with
+    q = kappa h (f_a + f_b) / ((g_a + g_b) f_a f_b); kappa by brentq."""
+    ts = [lo] + [t for t, _ in warp.samples if lo < t < hi] + [hi]
+    fs = [float(warp(t)) for t in ts]
+
+    def integrals(kappa):
+        speed = length = 0.0
+        for ta, tb, fa, fb in zip(ts[:-1], ts[1:], fs[:-1], fs[1:]):
+            h = tb - ta
+            ga, gb = math.hypot(fa, kappa), math.hypot(fb, kappa)
+            length += h * (fa + fb) / (ga + gb)
+            q = kappa * h * (fa + fb) / ((ga + gb) * fa * fb)
+            z = (fb - fa) / h * q
+            speed += q * (math.asinh(z) / z if z != 0.0 else 1.0)
+        return speed, length
+
+    kappa = brentq(lambda k: integrals(k)[0] - d, 0.0, 1e3, xtol=1e-300,
+                   rtol=8.9e-16)
+    return integrals(kappa)[1]
+
+
+class TestSampledTimeSeparation:
+    @staticmethod
+    def _warp(knots=257):
+        rng = np.random.default_rng(5)
+        ts = np.linspace(0.0, 4.0, knots)
+        vs = 1.0 + 0.35 * np.sin(1.3 * ts + 0.4) + 0.08 * rng.uniform(-1.0, 1.0, knots)
+        return WarpSpec.sampled(list(zip(ts, vs)), interpolation="linear")
+
+    def test_resolutions_differ_with_many_knots(self):
+        # the two-resolution check compares different rules even when more
+        # knot pieces lie between p0 and q0 than the coarse rule has nodes
+        Y = GeneralizedCone(self._warp(), RealLine())
+        counts = [Y._quad_nodes(0.7, 2.9, n)[0].size for n in (64, 96, 384, 512)]
+        assert len(set(counts)) == 4
+
+    @pytest.mark.parametrize("knots", [17, 257])
+    def test_tau_matches_exact_linear_pieces(self, knots):
+        w = self._warp(knots)
+        Y = GeneralizedCone(w, RealLine())
+        for p0, q0, d in ((0.7, 2.9, 0.5), (0.3, 3.6, 2.0), (1.1, 1.4, 0.1)):
+            tau = Y.time_separation(Y.point(p0, 0.0), Y.point(q0, d))
+            exact = _linear_piece_tau(w, p0, q0, d)
+            assert tau == pytest.approx(exact, rel=0.0, abs=1e-12 * max(1.0, exact))
 
 
 class TestMaximizers:

@@ -1,12 +1,13 @@
 """Finite Lorentzian length structures: relations, tau, verdicts."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 
 from lorcone import (CatalogError, CurveCatalog, check_bare_llspace,
-                     derived_relations, derived_tau)
+                     derived_relations, derived_tau, llstructure)
 from lorcone.bruteforce import enumerate_tau
 
 
@@ -147,3 +148,31 @@ class TestBareLLSpace:
             assert np.allclose(tt.values, values, atol=1e-9)
             assert np.array_equal(tt.infinite, infinite)
             assert check_bare_llspace(c).ok
+
+    def test_tau_intrinsic_catches_a_wrong_table(self, monkeypatch):
+        # doubling every value keeps positivity, vanishing and the reverse
+        # triangle inequality, so only the enumeration route can see it
+        c = cat([("x", "y", 1.0, "timelike"), ("y", "z", 2.0, "causal"),
+                 ("x", "z", 0.5, "causal")])
+        real = llstructure.derived_tau
+
+        def scaled(catalog):
+            tt = real(catalog)
+            return llstructure.TauTable(tt.points, 2.0 * tt.values, tt.infinite)
+
+        monkeypatch.setattr(llstructure, "derived_tau", scaled)
+        verdict = check_bare_llspace(c)
+        assert verdict.failures == (("tau-intrinsic",),)
+
+    def test_dense_cycle_stays_within_the_enumeration_budget(self):
+        # every ordered pair of five points joined by a zero-length curve:
+        # exhaustive enumeration would walk for minutes, so it stops at its
+        # step budget and the remaining checks still run
+        pts = [f"p{i}" for i in range(5)]
+        c = CurveCatalog(pts, [(a, b, 0.0, "causal")
+                               for a, b in itertools.permutations(pts, 2)])
+        with pytest.raises(CatalogError):
+            enumerate_tau(c)
+        verdict = check_bare_llspace(c)
+        assert verdict.ok
+        assert verdict.triples_checked == 125

@@ -4,12 +4,14 @@ import math
 
 import numpy as np
 import pytest
+import scipy.optimize
 
-from lorcone import (DomainError, RealizationError, TriangleError,
-                     corresponding_point, model_cone, model_tau,
+from lorcone import (DomainError, GeneralizedCone, RealizationError,
+                     TriangleError, corresponding_point, model_cone, model_tau,
                      modified_distance, realize_timelike_triangle)
 from lorcone.bruteforce import dp_time_separation
-from lorcone.lorentz_model import ModelPoint, chart_warp, signed_energy
+from lorcone.lorentz_model import (ModelPoint, chart_warp, signed_energy,
+                                   strip_half_width)
 
 
 class TestModelTau:
@@ -178,6 +180,122 @@ class TestModifiedDistance:
                 q_hi = corresponding_point(hi, "yz", u * 0.35)
                 assert (model_tau(Kp, hi.x, q_hi)
                         > model_tau(K, lo.x, q_lo) + 1e-10)
+
+
+_CURVED = [-4.0, -1.0, -0.25, 0.25, 1.0, 4.0]
+
+
+def _null_dx(K, a, b):
+    """Fiber offset of the null boundary from time a to time b in the chart:
+    F = gd(s t) for K > 0 and asinh(tan(s t)) for K < 0."""
+    s = math.sqrt(abs(K))
+    if K > 0:
+        return 2.0 * (math.atan(math.tanh(0.5 * s * b))
+                      - math.atan(math.tanh(0.5 * s * a)))
+    return math.asinh(math.tan(s * b)) - math.asinh(math.tan(s * a))
+
+
+def _times(K, rng):
+    """Two chart times a < b well inside the K chart."""
+    s = math.sqrt(abs(K))
+    if K > 0:
+        a = rng.uniform(-2.0, 2.0) / s
+        return a, a + rng.uniform(0.01, 2.0) / s
+    half = strip_half_width(K)
+    a = rng.uniform(-0.9, 0.8) * half
+    return a, rng.uniform(a + 0.01 * half, 0.9 * half)
+
+
+class TestClosedFormOracle:
+    """The closed forms against the warped-chart cone solver."""
+
+    @staticmethod
+    def _agree(K, p, q):
+        oracle = model_cone(K).time_separation(p.as_cone_point(), q.as_cone_point())
+        got = model_tau(K, p, q)
+        assert got == pytest.approx(oracle, rel=0.0, abs=1e-12 * max(1.0, oracle))
+        return got
+
+    @pytest.mark.parametrize("K", _CURVED)
+    def test_model_tau_random_pairs(self, K):
+        rng = np.random.default_rng(11)
+        for _ in range(60):
+            a, b = _times(K, rng)
+            x0 = rng.uniform(-3.0, 3.0)
+            dx = rng.uniform(-1.2, 1.2) * _null_dx(K, a, b)
+            p, q = ModelPoint(K, a, x0), ModelPoint(K, b, x0 + dx)
+            self._agree(K, p, q)
+            self._agree(K, q, p)
+
+    @pytest.mark.parametrize("K", _CURVED)
+    def test_model_tau_near_null_pairs(self, K):
+        rng = np.random.default_rng(12)
+        for k in range(3, 7):
+            a, b = _times(K, rng)
+            dx = (1.0 - 10.0 ** -k) * _null_dx(K, a, b)
+            assert self._agree(K, ModelPoint(K, a, 0.5), ModelPoint(K, b, 0.5 + dx)) > 0
+
+    @pytest.mark.parametrize("K", _CURVED)
+    def test_model_tau_small_tau_pairs(self, K):
+        rng = np.random.default_rng(13)
+        for _ in range(20):
+            a, _ = _times(K, rng)
+            b = a + rng.uniform(1e-7, 5e-7)
+            dx = rng.uniform(0.0, 0.5) * _null_dx(K, a, b)
+            tau = self._agree(K, ModelPoint(K, a, -0.2), ModelPoint(K, b, -0.2 - dx))
+            assert 0.0 < tau < 1e-6
+
+    @pytest.mark.parametrize("K", [0.25, 1.0, 4.0])
+    def test_unrolled_circle_is_not_related(self, K):
+        # the chart unrolls the dS2 circle: x and x + 2 pi are different points
+        # and the null transport F never reaches pi
+        p = ModelPoint(K, -5.0, 0.0)
+        for dx in (math.pi, 2.0 * math.pi, 2.0 * math.pi + 0.1, -math.pi - 0.3):
+            assert model_tau(K, p, ModelPoint(K, 5.0, dx)) == 0.0
+
+    @pytest.mark.parametrize("K", _CURVED)
+    def test_near_degenerate_side_residuals(self, K):
+        rng = np.random.default_rng(14)
+        diam = math.pi / math.sqrt(abs(K))
+        for _ in range(20):
+            a, b = diam * rng.uniform(0.02, 0.4, size=2)
+            c = (a + b) * (1.0 + 1e-9)
+            tri = realize_timelike_triangle(K, a, b, c)
+            assert abs(model_tau(K, tri.x, tri.y) - a) <= 1e-12
+            assert abs(model_tau(K, tri.y, tri.z) - b) <= 1e-12
+            assert abs(model_tau(K, tri.x, tri.z) - c) <= 1e-12
+            assert tri.y.x >= 0.0
+
+    @pytest.mark.parametrize("K", _CURVED)
+    def test_corresponding_point_on_the_maximizer(self, K):
+        rng = np.random.default_rng(15)
+        cone = model_cone(K)
+        diam = math.pi / math.sqrt(abs(K))
+        for _ in range(8):
+            c = diam * rng.uniform(0.2, 0.85)
+            a, b = c * rng.uniform(0.1, 0.45, size=2)
+            tri = realize_timelike_triangle(K, a, b, c)
+            for side in ("xy", "yz", "xz"):
+                v0, v1, length = tri.side(side)
+                s = length * rng.uniform(0.05, 0.95)
+                got = corresponding_point(tri, side, s)
+                ref = cone.point_on_maximizer(v0.as_cone_point(), v1.as_cone_point(), s)
+                assert abs(got.t - ref.t) <= 1e-11 and abs(got.x - ref.x) <= 1e-11
+                assert model_tau(K, v0, got) == pytest.approx(s, abs=1e-12)
+
+    def test_curved_models_run_no_solver(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("model-plane closed forms must not solve")
+
+        monkeypatch.setattr(scipy.optimize, "brentq", refuse)
+        monkeypatch.setattr("lorcone.cone.brentq", refuse)
+        for name in ("time_separation", "point_on_maximizer", "maximizer"):
+            monkeypatch.setattr(GeneralizedCone, name, refuse)
+        for K in (-1.0, 1.0):
+            tri = realize_timelike_triangle(K, 0.3, 0.4, 0.8)
+            p = corresponding_point(tri, "xy", 0.1)
+            q = corresponding_point(tri, "yz", 0.2)
+            assert model_tau(K, p, q) > 0.0
 
 
 def test_model_cone_cache():
