@@ -6,6 +6,10 @@ confines the interval to finite length (the time separation is bounded by
 b - a); for K = 0 with non-constant f at least one end must be finite.
 Vanishing f with exploding slope at an endpoint (big bang / big crunch)
 rules out every upper curvature bound.
+
+The report decides all of this from each warp kind's formula over the whole
+interval, without sampling: the sign of f'' - K f from closed forms, and the
+big bang from the kind itself (t^p on (0, inf) with 0 < p < 1 has one).
 """
 
 import math

@@ -3,7 +3,8 @@
 These stay deliberately independent of the solver code paths: the null
 parameter oracle integrates 1/f by adaptive quadrature, the time separation
 oracle maximizes over piecewise-linear causal grid paths by dynamic
-programming, and the catalog oracle enumerates concatenations explicitly.
+programming, the concavity oracle samples f'' - K f on a grid, and the
+catalog oracle enumerates concatenations explicitly.
 """
 
 from __future__ import annotations
@@ -44,6 +45,17 @@ def quad_inverse(w, lo, hi):
             f"quadrature of 1/f over [{lo}, {hi}] did not converge",
             estimate=err_total)
     return sign * total
+
+
+def grid_concavity(w, K, lo, hi, n=256):
+    """(holds_concave, holds_convex) for g = f'' - K f on n uniform points of
+    [lo, hi] inside (a, b), in the band 1e-9 * max(1, |f|) of
+    ``warp.concavity_check``."""
+    ts = np.linspace(lo, hi, n)
+    fv = np.asarray(w(ts))
+    g = np.asarray(w.second_derivative(ts)) - K * fv
+    band = 1e-9 * np.maximum(1.0, np.abs(fv))
+    return bool(np.all(g <= band)), bool(np.all(g >= -band))
 
 
 def dp_time_separation(warp, p0, q0, d, n_time=600, n_space=600):

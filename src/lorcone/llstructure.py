@@ -257,18 +257,17 @@ def check_bare_llspace(cat: CurveCatalog, tol: float = 1e-9) -> LLVerdict:
     tt = derived_tau(cat)
     n = cat.n
     failures = []
-    pairs = 0
-    for i in range(n):
-        for j in range(n):
-            pairs += 1
-            tau_ij = tt.tau(cat.points[i], cat.points[j])
-            if rel.ll[i, j] and not tau_ij > 0:
-                failures.append(("positivity", cat.points[i], cat.points[j]))
-            if not rel.le[i, j] and tau_ij != 0:
-                failures.append(("vanishing", cat.points[i], cat.points[j]))
-    triples = 0
+    pairs = n * n
     vals = tt.values
     inf = tt.infinite
+    positive = inf | (vals > 0)
+    zero = ~inf & (vals == 0)
+    for i, j in zip(*np.nonzero((rel.ll & ~positive) | (~rel.le & ~zero))):
+        if rel.ll[i, j] and not positive[i, j]:
+            failures.append(("positivity", cat.points[i], cat.points[j]))
+        if not rel.le[i, j] and not zero[i, j]:
+            failures.append(("vanishing", cat.points[i], cat.points[j]))
+    triples = 0
     for i in range(n):
         for j in np.nonzero(rel.le[i])[0]:
             for k in np.nonzero(rel.le[j])[0]:

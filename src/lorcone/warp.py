@@ -11,6 +11,10 @@ use one table of per-knot-piece integrals of ``1/f``: exact logarithms for
 linear interpolation, Gauss-Legendre with a two-resolution check for cubic
 splines.  ``F`` adds table entries and partial pieces, the horizons are ``F``
 at the finite interval ends, and ``h`` inverts ``F`` within one piece.
+
+The curvature verdicts take the sign of ``g = f'' - K f`` over the whole
+interval from closed forms, without a sampling grid, and the singularity
+verdicts follow from the paper's theorems and each kind's endpoint behaviour.
 """
 
 from __future__ import annotations
@@ -154,20 +158,19 @@ class WarpSpec:
     def _validate_sampled(self):
         if not self.samples or len(self.samples) < 2:
             raise DomainError("sampled warp needs at least two samples")
-        ts = [t for t, _ in self.samples]
-        vs = [v for _, v in self.samples]
-        if any(t2 <= t1 for t1, t2 in zip(ts, ts[1:])):
+        ts, vs = self._knots()
+        if np.any(np.diff(ts) <= 0):
             raise DomainError("sampled warp grid must be strictly increasing")
-        if any(v <= 0 for v in vs):
+        if np.any(vs <= 0):
             raise DomainError("sampled warp values must be strictly positive")
         if self.a < ts[0] or self.b > ts[-1]:
             raise DomainError("interval must lie inside the sampled grid")
         if self.interpolation not in ("linear", "cubic"):
             raise DomainError(f"unknown interpolation {self.interpolation!r}")
         if self.interpolation == "cubic":
-            spl = self._spline()
-            grid = np.linspace(ts[0], ts[-1], 16 * len(ts))
-            if np.min(spl(grid)) <= 0:
+            # the spline's minimum is at a knot or at a root of its derivative
+            crit = self._critical_points()
+            if np.any(self._spline()(crit[np.isfinite(crit)]) <= 0):
                 raise DomainError("cubic interpolation dips below zero between samples")
 
     # -- evaluation ------------------------------------------------------------
@@ -189,6 +192,15 @@ class WarpSpec:
             object.__setattr__(self, "_spline_cache", cached)
         return cached
 
+    def _critical_points(self):
+        """The roots of f' of a cubic sampled warp over its grid, computed once
+        (a piece where f' vanishes adds its start and a nan)."""
+        cached = getattr(self, "_crit_cache", None)
+        if cached is None:
+            cached = self._spline().derivative().solve(0.0, extrapolate=False)
+            object.__setattr__(self, "_crit_cache", cached)
+        return cached
+
     def _check_domain(self, t):
         arr = np.asarray(t, dtype=float)
         if np.any(arr <= self.a) or np.any(arr >= self.b):
@@ -199,56 +211,36 @@ class WarpSpec:
     def __call__(self, t):
         """Evaluate f(t); t strictly inside (a, b), scalar or array."""
         arr = self._check_domain(t)
-        k = self.kind
-        if k == "constant":
-            out = np.full_like(arr, self.c)
-        elif k == "identity":
-            out = self.amplitude * arr
-        elif k == "power":
-            out = self.amplitude * np.power(arr, self.p)
-        elif k == "sin":
-            out = self.amplitude * np.sin(self.rate * arr)
-        elif k == "cos":
-            out = self.amplitude * np.cos(self.rate * arr)
-        elif k == "cosh":
-            out = self.amplitude * np.cosh(self.rate * arr)
-        elif k == "exp":
-            out = self.amplitude * np.exp(self.rate * arr)
-        else:
-            if self.interpolation == "cubic":
-                out = np.asarray(self._spline()(arr), dtype=float)
-            else:
-                out = np.interp(arr, *self._knots())
+        out = self._values(arr)
         if np.any(out <= 0):
             raise DomainError("warp evaluated non-positive (domain violation)")
         return float(out) if np.isscalar(t) or np.ndim(t) == 0 else out
 
+    def _values(self, arr):
+        """f without the domain check; at power's singular end t = 0 numpy's
+        inf arithmetic gives the limit."""
+        k = self.kind
+        if k == "constant":
+            return np.full_like(arr, self.c)
+        if k == "identity":
+            return self.amplitude * arr
+        if k == "power":
+            return self.amplitude * np.power(arr, self.p)
+        if k == "sin":
+            return self.amplitude * np.sin(self.rate * arr)
+        if k == "cos":
+            return self.amplitude * np.cos(self.rate * arr)
+        if k == "cosh":
+            return self.amplitude * np.cosh(self.rate * arr)
+        if k == "exp":
+            return self.amplitude * np.exp(self.rate * arr)
+        if self.interpolation == "cubic":
+            return np.asarray(self._spline()(arr), dtype=float)
+        return np.interp(arr, *self._knots())
+
     @property
     def has_derivatives(self):
         return self.kind != "sampled" or self.interpolation == "cubic"
-
-    def derivative(self, t):
-        arr = self._check_domain(t)
-        k, A, w = self.kind, self.amplitude, self.rate
-        if k == "constant":
-            out = np.zeros_like(arr)
-        elif k == "identity":
-            out = np.full_like(arr, A)
-        elif k == "power":
-            out = A * self.p * np.power(arr, self.p - 1.0)
-        elif k == "sin":
-            out = A * w * np.cos(w * arr)
-        elif k == "cos":
-            out = -A * w * np.sin(w * arr)
-        elif k == "cosh":
-            out = A * w * np.sinh(w * arr)
-        elif k == "exp":
-            out = A * w * np.exp(w * arr)
-        elif self.interpolation == "cubic":
-            out = np.asarray(self._spline()(arr, 1), dtype=float)
-        else:
-            raise DomainError("sampled warp has no derivative without a cubic rule")
-        return float(out) if np.ndim(t) == 0 else out
 
     def second_derivative(self, t):
         arr = self._check_domain(t)
@@ -273,21 +265,17 @@ class WarpSpec:
 
     # -- interval extrema --------------------------------------------------------
 
-    def _check_subinterval(self, s, t):
-        if not (self.a < s <= t < self.b):
-            raise DomainError(
-                f"[{s}, {t}] is not inside the open interval ({self.a}, {self.b})")
-
     def min_on(self, s, t):
         """m_{s,t}: the minimum of f over [s, t] (analytic where possible)."""
-        self._check_subinterval(s, t)
         return self._extremum_on(s, t, minimum=True)
 
     def max_on(self, s, t):
-        self._check_subinterval(s, t)
         return self._extremum_on(s, t, minimum=False)
 
     def _extremum_on(self, s, t, minimum):
+        if not (self.a < s <= t < self.b):
+            raise DomainError(
+                f"[{s}, {t}] is not inside the open interval ({self.a}, {self.b})")
         k = self.kind
         pick = min if minimum else max
         if k == "constant":
@@ -319,41 +307,23 @@ class WarpSpec:
         return self._sampled_extremum(s, t, minimum)
 
     def _sampled_extremum(self, s, t, minimum):
+        """The extremum among s, t and the knots and roots of f' between."""
         ts = self._knots()[0]
-        inside = ts[(ts > s) & (ts < t)]
-        cand = [self(s), self(t)] + [self(u) for u in inside]
+        cand = [(s, t), ts[(ts > s) & (ts < t)]]
         if self.interpolation == "cubic":
-            # interior extrema of each cubic piece: roots of the derivative
-            spl = self._spline()
-            dspl = spl.derivative()
-            knots = np.concatenate(([s], inside, [t]))
-            for lo, hi in zip(knots[:-1], knots[1:]):
-                for r in dspl.solve(0.0, extrapolate=False):
-                    if lo < r < hi:
-                        cand.append(float(spl(r)))
-        return min(cand) if minimum else max(cand)
+            roots = self._critical_points()
+            cand.append(roots[(roots > s) & (roots < t)])
+        vals = self(np.concatenate(cand))
+        return float(vals.min() if minimum else vals.max())
 
     def is_constant(self):
-        if self.kind == "constant":
-            return True
-        if self.kind == "sampled":
-            vs = [v for _, v in self.samples]
-            return max(vs) - min(vs) <= 1e-14 * max(vs)
-        if self.kind == "power":
-            return self.p == 0.0
-        return False
-
-    def finite_window(self, width=20.0, margin_frac=1e-3):
-        """A finite closed window inside (a, b) for grid-based checks."""
-        a, b = self.a, self.b
-        if math.isfinite(a) and math.isfinite(b):
-            m = (b - a) * margin_frac
-            return a + m, b - m
-        if math.isfinite(a):
-            return a + margin_frac * width, a + width
-        if math.isfinite(b):
-            return b - width, b - margin_frac * width
-        return -width, width
+        """constant, power with p = 0, exp/cosh at rate 0 or flat samples."""
+        k = self.kind
+        if k == "sampled":
+            vs = self._knots()[1]
+            return bool(vs.max() - vs.min() <= 1e-14 * vs.max())
+        return (k == "constant" or (k == "power" and self.p == 0.0)
+                or (k in ("exp", "cosh") and self.rate == 0.0))
 
 
 # -- sampled-warp integrals of 1/f ------------------------------------------------
@@ -640,19 +610,17 @@ def _transport(warp, p0):
     """The transport form of a warp from p0: closed form for the analytic
     kinds, the knot table for sampled warps."""
     k, A, w, a, b = warp.kind, warp.amplitude, warp.rate, warp.a, warp.b
-    if k == "constant":
-        return _Linear(warp.c, p0, a, b)
+    if k == "sampled":
+        return _Sampled(warp, p0)
+    if warp.is_constant():
+        return _Linear(warp.c if k == "constant" else A, p0, a, b)
     if k in ("identity", "power"):
         return _PowerLaw(A, 1.0 if k == "identity" else warp.p, p0, a, b)
-    if k in ("exp", "cosh") and w == 0.0:
-        return _Linear(A, p0, a, b)
     if k == "exp":
         return _Exp(A, w, p0, a, b)
     if k == "cosh":
         return _Cosh(A, abs(w), p0, a, b)
-    if k in ("sin", "cos"):
-        return _Arch(warp, p0)
-    return _Sampled(warp, p0)
+    return _Arch(warp, p0)
 
 
 class NullTransport:
@@ -712,26 +680,112 @@ class ConcavityReport:
     band: float
 
 
-def concavity_check(w: WarpSpec, K: float, grid_size: int = 256,
-                    window=None) -> ConcavityReport:
-    """Sign verdicts for g = f'' - K f on a uniform interior grid.
+# relative tolerance band of the concavity verdicts; an infinite interval end
+# enters them as the largest float, so every verdict has a float witness
+_BAND = 1e-9
+_BIG = sys.float_info.max
 
-    Equality cases (model warps) must report both verdicts true, so the
-    comparison uses the tolerance band 1e-9 * max(1, |f|) pointwise.
+
+def _anchor(a, b):
+    """A fixed interior point of (a, b)."""
+    if math.isfinite(a) and math.isfinite(b):
+        return 0.5 * (a + b)
+    if math.isfinite(a):
+        return a + max(1.0, abs(a))
+    if math.isfinite(b):
+        return b - max(1.0, abs(b))
+    return 0.0
+
+
+def _analytic_curvature(w, K, m):
+    """g / band of an analytic warp as a function of t, also at the interval
+    ends, and the interior points where it can be extremal.
+
+    f'' = (beta + alpha / t^2) f with beta = rate^2 (exp, cosh), -rate^2 (sin,
+    cos) and alpha = p (p - 1) (power).  So g / band is
+    ((beta - K) min(f, 1) + alpha min(A t^(p-2), t^-2)) / 1e-9: monotone in t
+    where f >= 1, and g / 1e-9, critical only at t^2 = alpha (p - 2) / (K p),
+    where f < 1.  A sin/cos arch adds its crest, where f peaks."""
+    k, A, p, rate = w.kind, w.amplitude, w.p, w.rate
+    beta = {"exp": 1.0, "cosh": 1.0, "sin": -1.0, "cos": -1.0}.get(k, 0.0) * rate * rate
+    alpha = p * (p - 1.0) if k == "power" else 0.0
+
+    def ratio(ts):
+        with np.errstate(all="ignore"):
+            q = (beta - K) * np.minimum(w._values(ts), 1.0)
+            if alpha:
+                q = q + alpha * np.minimum(A * ts ** (p - 2.0), ts ** -2.0)
+            return q / _BAND
+
+    inner = [m]
+    if alpha:
+        with np.errstate(all="ignore"):
+            inner += [np.power(A, -1.0 / p),
+                      np.sqrt(np.float64(alpha * (p - 2.0)) / (K * p))]
+    if k in ("sin", "cos"):
+        inner.append((0.5 * math.pi - w._arch_offset()) / rate)
+    return ratio, np.array(inner)
+
+
+def _sampled_curvature(w, K, m):
+    """g / band of a cubic sampled warp and its candidate extrema: per knot
+    piece g = s'' - K s and g -+ band (g -+ 1e-9 s where s > 1) are cubics, so
+    they peak at the knots, where s = 1 and where g' or g' -+ 1e-9 s' is 0."""
+    from scipy.interpolate import PPoly
+    spl = w._spline()
+    gc = -K * spl.c
+    gc[2:] += (6.0 * spl.c[0], 2.0 * spl.c[1])
+    g = PPoly(gc, spl.x)
+
+    def ratio(ts):
+        return g(ts) / (_BAND * np.maximum(1.0, spl(ts)))
+
+    crit = [PPoly(gc + e * spl.c, spl.x).derivative().solve(0.0, extrapolate=False)
+            for e in (0.0, -_BAND, _BAND)]
+    return ratio, np.concatenate(([m], spl.x, spl.solve(1.0, extrapolate=False), *crit))
+
+
+def _witness(w, ratio, m, end, q_end):
+    """A point on the way from m to the interval end ``end`` (the largest
+    float for an infinite end), at which g / band tends to q_end beyond +-1,
+    where g / band is beyond +-(1 + min(|q_end|, 3)) / 2."""
+    k = np.arange(1100.0)
+    with np.errstate(over="ignore"):
+        path = (end + (m - end) * 0.5 ** k if abs(end) < _BIG
+                else np.append(m + math.copysign(1.0, end) * 2.0 ** k, end))
+    path = path[(path > w.a) & (path < w.b)]
+    reach = 0.5 * (1.0 + min(abs(q_end), 3.0))
+    return float(path[np.argmax(math.copysign(1.0, q_end) * ratio(path) > reach)])
+
+
+def concavity_check(w: WarpSpec, K: float) -> ConcavityReport:
+    """Sign verdicts for g = f'' - K f over the whole interval (a, b).
+
+    Equality cases (model warps) must report both verdicts true, so K-concave
+    means g <= band and K-convex g >= -band at every float in (a, b), with
+    the band 1e-9 * max(1, |f|).  The extremes of g / band are in closed form,
+    at the interval ends or at a few interior candidates.  When a verdict
+    fails, ``worst_t`` is a point inside (a, b) where g leaves the band, else
+    the candidate of largest |g| / band; ``worst_margin`` and ``band`` are g
+    and the band there.  Linear sampled warps raise DomainError.
     """
     if not w.has_derivatives:
         raise DomainError("concavity check needs derivatives; "
                           "sampled warp requires the cubic rule")
-    lo, hi = window if window is not None else w.finite_window()
-    ts = np.linspace(lo, hi, grid_size)
-    fv = np.asarray(w(ts))
-    g = np.asarray(w.second_derivative(ts)) - K * fv
-    band = 1e-9 * np.maximum(1.0, np.abs(fv))
-    holds_concave = bool(np.all(g <= band))
-    holds_convex = bool(np.all(g >= -band))
-    i = int(np.argmax(np.abs(g)))
-    return ConcavityReport(holds_concave, holds_convex, float(g[i]), float(ts[i]),
-                           float(np.max(band)))
+    m = _anchor(w.a, w.b)
+    curvature = _sampled_curvature if w.kind == "sampled" else _analytic_curvature
+    ratio, inner = curvature(w, K, m)
+    inner = inner[(inner > w.a) & (inner < w.b)]
+    ts = np.concatenate(([max(w.a, -_BIG), min(w.b, _BIG)], inner))
+    q = ratio(ts)
+    hi, lo = int(np.argmax(q)), int(np.argmin(q))
+    holds_concave, holds_convex = bool(q[hi] <= 1.0), bool(q[lo] >= -1.0)
+    i = (hi if not holds_concave else lo if not holds_convex
+         else 2 + int(np.argmax(np.abs(q[2:]))))
+    t = float(ts[i]) if i >= 2 else _witness(w, ratio, m, ts[i], q[i])
+    band = _BAND * max(1.0, w(t))
+    return ConcavityReport(holds_concave, holds_convex,
+                           float(ratio(np.array([t]))[0]) * band, t, band)
 
 
 @dataclass(frozen=True)
@@ -746,91 +800,36 @@ class SingularityReport:
     verdicts: tuple
 
 
-def _endpoint_limits(w: WarpSpec, side):
-    """Numerical limits of (f, f') toward one endpoint.
-
-    Returns (f_to_zero, fprime_to_signed_inf, conclusive).
-    """
-    end = w.a if side == "a" else w.b
-    lo, hi = w.finite_window()
-    start = lo if side == "a" else hi
-    if math.isfinite(end):
-        gaps = abs(start - end) * 0.5 ** np.arange(0, 48)
-        ts = end + gaps if side == "a" else end - gaps
-    else:
-        ts = (start - 2.0 ** np.arange(0, 10)) if side == "a" else \
-             (start + 2.0 ** np.arange(0, 10))
-    # tiny gaps can round onto the endpoint itself; stay strictly inside
-    ts = ts[(ts > w.a) & (ts < w.b)]
-    if w.kind == "sampled":
-        # sampled data may simply not reach the endpoint
-        grid_lo, grid_hi = w.samples[0][0], w.samples[-1][0]
-        if math.isfinite(end) and min(abs(grid_lo - end), abs(grid_hi - end)) > 1e-6:
-            return False, False, False
-    with np.errstate(over="ignore", invalid="ignore"):
-        fv = np.asarray(w(ts))
-        sign = 1.0 if side == "a" else -1.0
-        dv = sign * np.asarray(w.derivative(ts)) if w.has_derivatives else None
-    f_to_zero = bool(fv[-1] < 1e-6 * max(1.0, fv[0]) and np.all(np.diff(fv) <= 0))
-    if dv is None:
-        return f_to_zero, False, False
-    d_to_inf = bool(dv[-1] > 1e3 * max(1.0, abs(dv[0])) and np.all(np.diff(dv) >= 0))
-    return f_to_zero, d_to_inf, True
-
-
 def singularity_report(w: WarpSpec, K: float) -> SingularityReport:
-    """Singularity-theorem style verdicts for a lower curvature bound K.
+    """Singularity-theorem verdicts for a lower timelike curvature bound K.
 
-    Combines the K-concavity necessary condition, the interval finiteness
-    consequences for K < 0 and K = 0, big bang / big crunch detection from
-    endpoint limits, and the resulting impossibility of upper bounds.
+    K needs g = f'' - K f <= 0 on the whole interval (:func:`concavity_check`),
+    and by the paper's theorems both ends finite if K < 0 (tau <= b - a) and
+    one finite end if K = 0 and f is not constant; timelike geodesics are then
+    incomplete.  A big bang (f -> 0, f' -> +inf at a) rules out every upper
+    bound: exactly power with a = 0 and 0 < p < 1 has one, and no analytic
+    kind has the mirrored big crunch.  Sampled data give no endpoint limits.
     """
+    a_fin, b_fin = math.isfinite(w.a), math.isfinite(w.b)
+    consistent = (concavity_check(w, K).holds_concave
+                  and not (K < 0 and not (a_fin and b_fin))
+                  and not (K == 0 and not w.is_constant() and not (a_fin or b_fin)))
     verdicts = []
-    conc = concavity_check(w, K)
-    consistent = conc.holds_concave
+    diameter = math.inf
     if not consistent:
         verdicts.append(f"lower curvature bound {K:g} impossible")
-    a_fin, b_fin = math.isfinite(w.a), math.isfinite(w.b)
-    diameter = math.inf
-    if consistent and K < 0:
-        diameter = (w.b - w.a) if (a_fin and b_fin) else math.inf
-        if a_fin and b_fin:
-            verdicts.append(
-                f"time separation bounded by b-a = {w.b - w.a:.9g}; "
-                "timelike geodesically incomplete")
-        else:
-            verdicts.append(
-                "inconsistent combination: K-concave positive warp with K < 0 "
-                "cannot live on an infinite interval")
-    if consistent and K == 0 and not w.is_constant():
-        if a_fin or b_fin:
-            verdicts.append("at least one endpoint finite: past or future "
-                            "timelike geodesically incomplete")
-        else:
-            verdicts.append(
-                "inconsistent combination: non-constant 0-concave positive warp "
-                "cannot live on an infinite interval")
-    bang = crunch = False
-    try:
-        f0a, dinfa, oka = _endpoint_limits(w, "a")
-        bang = f0a and dinfa
-        if not oka:
-            verdicts.append("endpoint limit at a inconclusive")
-    except DomainError:
-        verdicts.append("endpoint limit at a inconclusive")
-    try:
-        f0b, dinfb, okb = _endpoint_limits(w, "b")
-        crunch = f0b and dinfb
-        if not okb:
-            verdicts.append("endpoint limit at b inconclusive")
-    except DomainError:
-        verdicts.append("endpoint limit at b inconclusive")
+    elif K < 0:
+        diameter = w.b - w.a
+        verdicts.append(f"time separation bounded by b-a = {diameter:.9g}; "
+                        "timelike geodesically incomplete")
+    elif K == 0 and not w.is_constant():
+        verdicts.append("at least one endpoint finite: past or future "
+                        "timelike geodesically incomplete")
+    if w.kind == "sampled":
+        verdicts += ["endpoint limit at a inconclusive", "endpoint limit at b inconclusive"]
+    bang = w.kind == "power" and w.a == 0.0 and 0.0 < w.p < 1.0
     if bang:
-        verdicts.append("big bang singularity at a")
-    if crunch:
-        verdicts.append("big crunch singularity at b")
-    upper_possible = not (bang or crunch)
-    if not upper_possible:
-        verdicts.append("no timelike curvature bound from above is possible")
-    return SingularityReport(consistent, a_fin, b_fin, diameter, bang, crunch,
-                             upper_possible, tuple(verdicts))
+        verdicts += ["big bang singularity at a",
+                     "no timelike curvature bound from above is possible"]
+    return SingularityReport(consistent, a_fin, b_fin, diameter, bang, False,
+                             not bang, tuple(verdicts))
