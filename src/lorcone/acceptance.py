@@ -20,7 +20,7 @@ from .fiber import EuclideanN, Hyperbolic2, RealLine, Sphere2, tripod
 from .lorentz_model import (corresponding_point, model_tau,
                             modified_distance, realize_timelike_triangle)
 from .llstructure import CurveCatalog, check_bare_llspace, derived_tau
-from .warp import WarpSpec, singularity_report
+from .warp import NullTransport, WarpSpec, singularity_report
 
 
 def _flat_recovery(quick=False):
@@ -84,7 +84,6 @@ def _dp_pairs(rng, warp, window, count):
     for _ in range(count):
         p0 = rng.uniform(window[0], 0.5 * (window[0] + window[1]))
         q0 = rng.uniform(p0 + 0.4 * (window[1] - p0), window[1])
-        from .warp import NullTransport
         null_value = NullTransport(warp, p0).null_parameter(q0)
         d = rng.uniform(0.2, 0.55) * null_value
         pairs.append((p0, q0, d))
@@ -145,7 +144,6 @@ def _variational(quick=False):
     for _ in range(n_paths):
         p0 = rng.uniform(0.4, 1.2)
         q0 = rng.uniform(p0 + 0.8, min(p0 + 1.6, math.pi - 0.4))
-        from .warp import NullTransport
         null_value = NullTransport(warp, p0).null_parameter(q0)
         # moderate speeds keep the min-vs-midpoint warp gap at depth 8 small
         d = rng.uniform(0.15, 0.5) * null_value

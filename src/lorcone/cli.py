@@ -249,7 +249,8 @@ def _cmd_singularity(cone, args):
     print(f"tau_diameter_bound = {_fmt(rep.tau_diameter_bound)}")
     print(f"big_bang = {rep.big_bang}")
     print(f"big_crunch = {rep.big_crunch}")
-    print(f"upper_bound_possible = {rep.upper_bound_possible}")
+    upper = rep.upper_bound_possible
+    print(f"upper_bound_possible = {'inconclusive' if upper is None else upper}")
     for v in rep.verdicts:
         print(f"verdict: {v}")
     return 0

@@ -12,6 +12,11 @@ whose maximizer satisfies the conservation law f^2 b' / sqrt(1 - f^2 b'^2)
 = kappa; the solver finds kappa by monotone bracketing and evaluates the
 resulting quadratures on Gauss-Legendre nodes with a two-resolution error
 check.
+
+The path functionals (length, energy, causal classification and the
+per-segment certificate m_{t_i, t_{i+1}} d_i <= dt_i) share one array pass
+over a path's segments, and the variational sums, the causal-diamond radii and
+the maximizer's samples take all their segments in single array calls.
 """
 
 from __future__ import annotations
@@ -124,7 +129,24 @@ def _kappa_rates(f, kappa, w=1.0):
     return w / (f * root), w * r / root
 
 
-class _Maximizer:
+class _Curve:
+    """A causal curve from p to q at fiber distance d, sampled on an even
+    grid of base times: the fiber point at time t is the geodesic point at
+    the fraction ``_fractions(ts)`` of the way from p.x to q.x."""
+
+    def __init__(self, cone, p, q, d, tau):
+        self.cone, self.p, self.q, self.d, self.tau = cone, p, q, d, tau
+
+    def sample(self, n_samples):
+        ts = np.linspace(self.p.t, self.q.t, n_samples)
+        if self.d == 0.0:
+            return CausalPath(tuple((float(t), self.p.x) for t in ts))
+        geo = self.cone.fiber.geodesic_point
+        return CausalPath(tuple((float(t), geo(self.p.x, self.q.x, float(u)))
+                                for t, u in zip(ts, self._fractions(ts))))
+
+
+class _Maximizer(_Curve):
     """Solved maximizing curve between chronologically related points.
 
     Exposes the fiber progress B(t), the accumulated proper time A(t) and
@@ -132,26 +154,22 @@ class _Maximizer:
     """
 
     def __init__(self, cone, p, q, d, kappa, tau):
-        self.cone = cone
-        self.p = p
-        self.q = q
-        self.d = d
+        super().__init__(cone, p, q, d, tau)
         self.kappa = kappa
-        self.tau = tau
 
     def _integrals(self, lo, hi, n=48):
-        """(fiber progress, proper time) accrued from base time lo to hi."""
-        if lo == hi:
-            return 0.0, 0.0
+        """(fiber progress, proper time) accrued from base time lo to hi;
+        column arrays lo[:, None], hi[:, None] give one pair per segment."""
         ts, ws = _gl_nodes(lo, hi, n)
         b_dot, tau_dot = _kappa_rates(self.cone.warp(ts), self.kappa)
-        return float((ws * b_dot).sum()), float((ws * tau_dot).sum())
+        return (ws * b_dot).sum(axis=-1), (ws * tau_dot).sum(axis=-1)
 
     def fiber_progress(self, t):
-        return self._integrals(self.p.t, t)[0]
+        return float(self._integrals(self.p.t, t)[0])
 
     def proper_time(self, t):
-        return self._integrals(self.p.t, t)[1]
+        # time_at_tau's root bracket starts at t = p0, where A is 0
+        return 0.0 if t == self.p.t else float(self._integrals(self.p.t, t)[1])
 
     def time_at_tau(self, s):
         if not -1e-12 <= s <= self.tau * (1 + 1e-12) + 1e-12:
@@ -172,47 +190,29 @@ class _Maximizer:
         u = min(max(u, 0.0), 1.0)
         return ConePoint(t, self.cone.fiber.geodesic_point(self.p.x, self.q.x, u))
 
-    def sample(self, n_samples):
-        ts = np.linspace(self.p.t, self.q.t, n_samples)
-        if self.d == 0.0:
-            pts = [(float(t), self.p.x) for t in ts]
-            return CausalPath(tuple(pts))
-        # cumulative fiber progress on the sample grid, normalized so the
-        # endpoint lands exactly on q
-        incs = [self._integrals(a, b, n=16)[0] for a, b in zip(ts[:-1], ts[1:])]
+    def _fractions(self, ts):
+        # cumulative fiber progress on the sample grid, 16 nodes per
+        # segment, normalized so the endpoint lands exactly on q
+        incs = self._integrals(ts[:-1, None], ts[1:, None], n=16)[0]
         B = np.concatenate(([0.0], np.cumsum(incs)))
         total = B[-1] if B[-1] > 0 else 1.0
-        us = np.clip(B / total, 0.0, 1.0)
-        geo = self.cone.fiber.geodesic_point
-        pts = [(float(t), geo(self.p.x, self.q.x, float(u)))
-               for t, u in zip(ts, us)]
-        return CausalPath(tuple(pts))
+        return np.clip(B / total, 0.0, 1.0)
 
 
-class _NullCurve:
+class _NullCurve(_Curve):
     """The null boundary curve from p to q: alpha = h_{p0} o (fiber arclength)."""
 
     def __init__(self, cone, p, q, d):
-        self.cone = cone
-        self.p = p
-        self.q = q
-        self.d = d
-        self.tau = 0.0
+        super().__init__(cone, p, q, d, 0.0)
         self._nt = cone._nt(p.t)
 
-    def sample(self, n_samples):
-        ts = np.linspace(self.p.t, self.q.t, n_samples)
-        if self.d == 0.0:
-            return CausalPath(tuple((float(t), self.p.x) for t in ts))
+    def _fractions(self, ts):
         us = []
         for t in ts:
             s = 0.0 if t == self.p.t else self._nt.null_parameter(float(t))
             us.append(min(max(s / self.d, 0.0), 1.0))
         us[-1] = 1.0
-        geo = self.cone.fiber.geodesic_point
-        pts = [(float(t), geo(self.p.x, self.q.x, float(u)))
-               for t, u in zip(ts, us)]
-        return CausalPath(tuple(pts))
+        return us
 
 
 class GeneralizedCone:
@@ -300,17 +300,13 @@ class GeneralizedCone:
 
     def _quad_nodes(self, lo, hi, n):
         if self.warp.kind == "sampled":
-            knots = [t for t, _ in self.warp.samples if lo < t < hi]
-            edges = [lo] + knots + [hi]
-            ts_list, ws_list = [], []
+            knots = self.warp._knots()[0]
+            edges = np.concatenate(([lo], knots[(knots > lo) & (knots < hi)], [hi]))
             # at least n // 8 nodes per piece, so the rules of the
             # two-resolution check differ however many knots lie inside
             per = max(n // 8, n // (len(edges) - 1))
-            for a, b in zip(edges[:-1], edges[1:]):
-                t, w = _gl_nodes(a, b, per)
-                ts_list.append(t)
-                ws_list.append(w)
-            return np.concatenate(ts_list), np.concatenate(ws_list)
+            ts, ws = _gl_nodes(edges[:-1, None], edges[1:, None], per)
+            return ts.ravel(), ws.ravel()
         return _gl_nodes(lo, hi, n)
 
     def _solve_kappa(self, lo, hi, d, n):
@@ -407,42 +403,43 @@ class GeneralizedCone:
 
     # -- length functionals ------------------------------------------------------------
 
-    def _segment_arrays(self, path: CausalPath):
+    def _segments(self, path: CausalPath, tol=None):
+        """One pass over the path's segments: the time steps dt_i, the fiber
+        distances d_i, the warp at the midpoints and the radicands
+        dt_i^2 - (f_mid d_i)^2.  With ``tol`` it also checks the causality
+        certificate m_{t_i, t_{i+1}} d_i <= dt_i of every segment and raises
+        NotCausalError on the first that fails."""
         ts = path.times
         pts = path.points
         dts = np.diff(ts)
         ds = np.array([self.fiber.distance(a, b) for a, b in zip(pts[:-1], pts[1:])])
-        fmid = np.asarray(self.warp(0.5 * (ts[:-1] + ts[1:])))
-        return ts, dts, ds, fmid
+        if tol is not None:
+            md = self.warp.min_on(ts[:-1], ts[1:]) * ds
+            bad = np.flatnonzero(md > dts * (1.0 + tol) + tol * np.maximum(1.0, dts))
+            if bad.size:
+                i = bad[0]
+                raise NotCausalError(
+                    f"segment {i}: certificate m*d = {md[i]:g} exceeds dt = {dts[i]:g}")
+        fmid = self.warp(0.5 * (ts[:-1] + ts[1:]))
+        return dts, ds, fmid, dts * dts - (fmid * ds) ** 2
 
     def segment_speeds(self, path: CausalPath):
         """Per-segment fiber speed estimates v_i = d_i / dt_i."""
-        _, dts, ds, _ = self._segment_arrays(path)
+        dts, ds, _, _ = self._segments(path)
         return ds / dts
 
     def check_certificate(self, path: CausalPath, tol: float = 1e-9):
         """Per-segment causality certificate m_{t_i, t_{i+1}} d_i <= dt_i."""
-        ts = path.times
-        pts = path.points
-        for i in range(path.n_segments):
-            m = self.warp.min_on(ts[i], ts[i + 1])
-            d = self.fiber.distance(pts[i], pts[i + 1])
-            dt = ts[i + 1] - ts[i]
-            if m * d > dt * (1.0 + tol) + tol * max(1.0, dt):
-                raise NotCausalError(
-                    f"segment {i}: certificate m*d = {m*d:g} exceeds dt = {dt:g}")
+        self._segments(path, tol)
 
     def path_length(self, path: CausalPath) -> float:
         """Composite midpoint-rule length; radicands clamped at zero."""
-        self.check_certificate(path)
-        _, dts, ds, fmid = self._segment_arrays(path)
-        rad = dts * dts - (fmid * ds) ** 2
+        rad = self._segments(path, 1e-9)[3]
         return float(np.sum(np.sqrt(np.maximum(rad, 0.0))))
 
     def classify_path(self, path: CausalPath, null_tol: float = 1e-5) -> str:
         """timelike / null / causal_mixed / not_causal by radicand signs."""
-        _, dts, ds, fmid = self._segment_arrays(path)
-        rad = dts * dts - (fmid * ds) ** 2
+        dts, _, _, rad = self._segments(path)
         band = null_tol * dts * dts
         if np.any(rad < -band):
             return "not_causal"
@@ -456,25 +453,28 @@ class GeneralizedCone:
 
     def energy(self, path: CausalPath) -> float:
         """(1/2) sum (dt^2 - f^2 d^2)/ds over the path's own parameter grid."""
-        self.check_certificate(path)
-        _, dts, ds, fmid = self._segment_arrays(path)
+        rad = self._segments(path, 1e-9)[3]
         params = np.array(path.params) if path.params is not None else path.times
-        dparams = np.diff(params)
-        rad = dts * dts - (fmid * ds) ** 2
-        return float(0.5 * np.sum(rad / dparams))
+        return float(0.5 * np.sum(rad / np.diff(params)))
 
     def conserved_speed(self, path: CausalPath):
         """Per-segment f^2 v_beta in arclength parametrization (kappa along
         maximizers); null-only segments yield nan."""
-        _, dts, ds, fmid = self._segment_arrays(path)
-        rad = dts * dts - (fmid * ds) ** 2
+        _, ds, fmid, rad = self._segments(path)
         with np.errstate(divide="ignore", invalid="ignore"):
             return fmid * fmid * ds / np.sqrt(np.maximum(rad, 0.0))
 
+    def _tau_bounds(self, lo, hi, d):
+        """T = sqrt(max(0, dt^2 - m^2 d^2)) with dt = hi - lo and m the
+        minimum of f on [lo, hi], elementwise for arrays."""
+        m = self.warp.min_on(lo, hi)
+        dt = hi - lo
+        return np.sqrt(np.maximum(0.0, dt * dt - m * m * d * d))
+
     def variational_length(self, path: CausalPath,
                            refinement_depth: int = 8) -> VariationalLength:
-        """Partition sums sum sqrt(dt^2 - m^2 d^2) over nested dyadic
-        refinements of the sample partition; the sequence never increases."""
+        """Partition sums sum T over nested dyadic refinements of the sample
+        partition; the sequence never increases."""
         self.check_certificate(path)
         ts = path.times
         pts = path.points
@@ -483,27 +483,19 @@ class GeneralizedCone:
         for depth in range(refinement_depth + 1):
             k = 2 ** depth
             idx = sorted({round(j * n / k) for j in range(k + 1)})
-            total = 0.0
-            for i0, i1 in zip(idx[:-1], idx[1:]):
-                dt = ts[i1] - ts[i0]
-                d = self.fiber.distance(pts[i0], pts[i1])
-                m = self.warp.min_on(ts[i0], ts[i1])
-                total += math.sqrt(max(0.0, dt * dt - m * m * d * d))
-            seq.append(total)
+            ds = np.array([self.fiber.distance(pts[i0], pts[i1])
+                           for i0, i1 in zip(idx[:-1], idx[1:])])
+            # summed in partition order, left to right
+            seq.append(float(np.cumsum(self._tau_bounds(ts[idx[:-1]], ts[idx[1:]], ds))[-1]))
             if k >= n:
                 break
         return VariationalLength(seq[-1], tuple(seq))
 
     def segment_tau_bound(self, p: ConePoint, q: ConePoint) -> float:
         """T((p0,p),(q0,q)) = sqrt(max(0, dt^2 - m^2 d^2)) for p0 <= q0."""
-        if q.t < p.t:
+        if q.t <= p.t:
             return 0.0
-        if q.t == p.t:
-            return 0.0
-        d = self.fiber.distance(p.x, q.x)
-        m = self.warp.min_on(p.t, q.t)
-        dt = q.t - p.t
-        return math.sqrt(max(0.0, dt * dt - m * m * d * d))
+        return float(self._tau_bounds(p.t, q.t, self.fiber.distance(p.x, q.x)))
 
     def causal_diamond_box(self, p: ConePoint, q: ConePoint,
                            n_samples: int = 33) -> DiamondBox:
@@ -513,12 +505,8 @@ class GeneralizedCone:
         if verdict.relation == "equal":
             return DiamondBox(np.array([p.t]), np.array([0.0]), np.array([0.0]))
         ts = np.linspace(p.t, q.t, n_samples)
-        r_p = np.empty_like(ts)
-        r_q = np.empty_like(ts)
-        for i, t in enumerate(ts):
-            r_p[i] = 0.0 if t == p.t else (t - p.t) / self.warp.min_on(p.t, t)
-            r_q[i] = 0.0 if t == q.t else (q.t - t) / self.warp.min_on(t, q.t)
-        return DiamondBox(ts, r_p, r_q)
+        return DiamondBox(ts, (ts - p.t) / self.warp.min_on(p.t, ts),
+                          (q.t - ts) / self.warp.min_on(ts, q.t))
 
     # -- CSV import / export --------------------------------------------------------
 

@@ -1,8 +1,11 @@
 """Warping functions on an open interval and derived one-dimensional data.
 
 A warping function is a positive continuous ``f`` on an open interval
-``(a, b)``; the closed-form kinds carry analytic derivatives and analytic
-interval extrema.  :class:`NullTransport` packages the null-parameter
+``(a, b)``; the closed-form kinds carry analytic derivatives.  The interval
+extrema ``min_on``/``max_on`` take scalars or arrays of segments and compare
+the endpoint values with the few interior candidates: the sin/cos crest, the
+cosh trough, or a sampled warp's cached table of knots and roots of a cubic
+spline's ``f'``.  :class:`NullTransport` packages the null-parameter
 integral ``F(r) = int_{p0}^r 1/f`` together with its inverse ``h`` and the
 forward/backward horizons.  For the seven analytic kinds all three are
 elementary closed forms, with horizons taken as the analytic limits toward
@@ -167,11 +170,9 @@ class WarpSpec:
             raise DomainError("interval must lie inside the sampled grid")
         if self.interpolation not in ("linear", "cubic"):
             raise DomainError(f"unknown interpolation {self.interpolation!r}")
-        if self.interpolation == "cubic":
-            # the spline's minimum is at a knot or at a root of its derivative
-            crit = self._critical_points()
-            if np.any(self._spline()(crit[np.isfinite(crit)]) <= 0):
-                raise DomainError("cubic interpolation dips below zero between samples")
+        # f is least at a knot or at a root of a cubic spline's f'
+        if np.any(self._extremum_table()[1] <= 0):
+            raise DomainError("cubic interpolation dips below zero between samples")
 
     # -- evaluation ------------------------------------------------------------
 
@@ -190,15 +191,6 @@ class WarpSpec:
             from scipy.interpolate import CubicSpline
             cached = CubicSpline(*self._knots())
             object.__setattr__(self, "_spline_cache", cached)
-        return cached
-
-    def _critical_points(self):
-        """The roots of f' of a cubic sampled warp over its grid, computed once
-        (a piece where f' vanishes adds its start and a nan)."""
-        cached = getattr(self, "_crit_cache", None)
-        if cached is None:
-            cached = self._spline().derivative().solve(0.0, extrapolate=False)
-            object.__setattr__(self, "_crit_cache", cached)
         return cached
 
     def _check_domain(self, t):
@@ -266,55 +258,65 @@ class WarpSpec:
     # -- interval extrema --------------------------------------------------------
 
     def min_on(self, s, t):
-        """m_{s,t}: the minimum of f over [s, t] (analytic where possible)."""
+        """m_{s,t}: the minimum of f over [s, t], elementwise for arrays."""
         return self._extremum_on(s, t, minimum=True)
 
     def max_on(self, s, t):
+        """The maximum of f over [s, t], elementwise for arrays."""
         return self._extremum_on(s, t, minimum=False)
 
     def _extremum_on(self, s, t, minimum):
-        if not (self.a < s <= t < self.b):
-            raise DomainError(
-                f"[{s}, {t}] is not inside the open interval ({self.a}, {self.b})")
-        k = self.kind
-        pick = min if minimum else max
-        if k == "constant":
-            return self.c
-        if k in ("identity", "exp", "power"):
-            # monotone on the positive domain
-            return pick(self(s), self(t))
-        if k in ("sin", "cos"):
-            # concave on its positive arch: interior max at the crest,
-            # minimum always at an endpoint
-            if minimum:
-                return pick(self(s), self(t))
-            w = self.rate
+        """The extremum of f over each segment [s, t] (arrays broadcast; two
+        scalars give a float): the better endpoint value, unless an interior
+        candidate beats it.  The analytic kinds are monotone or have a single
+        interior extremum, the sin/cos crest and the cosh trough, both equal
+        to the amplitude; a sampled warp's candidates are its knots and the
+        roots of a cubic spline's f'."""
+        s, t = np.asarray(s, dtype=float), np.asarray(t, dtype=float)
+        ok = (self.a < s) & (s <= t) & (t < self.b)
+        if not np.all(ok):
+            s, t, ok = np.broadcast_arrays(s, t, ok)
+            i = int(np.argmin(ok))
+            raise DomainError(f"[{s.flat[i]}, {t.flat[i]}] is not inside "
+                              f"the open interval ({self.a}, {self.b})")
+        fs, ft = self._values(s), self._values(t)
+        if (np.minimum(fs, ft) <= 0).any():
+            raise DomainError("warp evaluated non-positive (domain violation)")
+        pick = np.minimum if minimum else np.maximum
+        out = pick(fs, ft)
+        k, w = self.kind, self.rate
+        if k in ("sin", "cos") and not minimum:
             crest = 0.0 if k == "cos" else math.pi / 2.0
-            lo, hi = sorted((w * s, w * t))
-            n0 = math.ceil((lo - crest) / _TWO_PI)
-            if crest + _TWO_PI * n0 <= hi:
-                return self.amplitude
-            return pick(self(s), self(t))
-        if k == "cosh":
-            # convex with trough at rate*t = 0
-            if not minimum:
-                return pick(self(s), self(t))
-            w = self.rate
-            lo, hi = sorted((w * s, w * t))
-            if lo <= 0.0 <= hi:
-                return self.amplitude
-            return pick(self(s), self(t))
-        return self._sampled_extremum(s, t, minimum)
+            # the first crest at or after w s (w > 0 on an arch)
+            first = crest + _TWO_PI * np.ceil((w * s - crest) / _TWO_PI)
+            out = np.where(first <= w * t, self.amplitude, out)
+        elif k == "cosh" and minimum:
+            # the trough at t = 0 (at rate 0 f is the amplitude throughout)
+            out = np.where((s <= 0.0) & (t >= 0.0), self.amplitude, out)
+        elif k == "sampled":
+            r, fr = self._extremum_table()
+            # r[lo:hi] lies in (s, t)
+            lo, hi = np.broadcast_arrays(np.searchsorted(r, s, side="right"),
+                                         np.searchsorted(r, t, side="left"))
+            sentinel = np.inf if minimum else -np.inf
+            inner = pick.reduceat(np.append(fr, sentinel),
+                                  np.stack((lo, hi), axis=-1).ravel())[::2]
+            out = pick(out, np.where(hi > lo, inner.reshape(out.shape), sentinel))
+        return float(out) if out.ndim == 0 else out
 
-    def _sampled_extremum(self, s, t, minimum):
-        """The extremum among s, t and the knots and roots of f' between."""
-        ts = self._knots()[0]
-        cand = [(s, t), ts[(ts > s) & (ts < t)]]
-        if self.interpolation == "cubic":
-            roots = self._critical_points()
-            cand.append(roots[(roots > s) & (roots < t)])
-        vals = self(np.concatenate(cand))
-        return float(vals.min() if minimum else vals.max())
+    def _extremum_table(self):
+        """The candidates for a sampled warp's extrema, sorted, and f there:
+        the knots and the finite roots of a cubic spline's f' (a piece where
+        f' vanishes gives a nan), computed once."""
+        cached = getattr(self, "_extremum_cache", None)
+        if cached is None:
+            r = self._knots()[0]
+            if self.interpolation == "cubic":
+                crit = self._spline().derivative().solve(0.0, extrapolate=False)
+                r = np.sort(np.concatenate((r, crit[np.isfinite(crit)])))
+            cached = (r, self._values(r))
+            object.__setattr__(self, "_extremum_cache", cached)
+        return cached
 
     def is_constant(self):
         """constant, power with p = 0, exp/cosh at rate 0 or flat samples."""
@@ -796,7 +798,7 @@ class SingularityReport:
     tau_diameter_bound: float
     big_bang: bool
     big_crunch: bool
-    upper_bound_possible: bool
+    upper_bound_possible: bool | None   # None: endpoint limits inconclusive
     verdicts: tuple
 
 
@@ -808,7 +810,8 @@ def singularity_report(w: WarpSpec, K: float) -> SingularityReport:
     one finite end if K = 0 and f is not constant; timelike geodesics are then
     incomplete.  A big bang (f -> 0, f' -> +inf at a) rules out every upper
     bound: exactly power with a = 0 and 0 < p < 1 has one, and no analytic
-    kind has the mirrored big crunch.  Sampled data give no endpoint limits.
+    kind has the mirrored big crunch.  Sampled data give no endpoint limits,
+    so for them ``upper_bound_possible`` is None.
     """
     a_fin, b_fin = math.isfinite(w.a), math.isfinite(w.b)
     consistent = (concavity_check(w, K).holds_concave
@@ -831,5 +834,6 @@ def singularity_report(w: WarpSpec, K: float) -> SingularityReport:
     if bang:
         verdicts += ["big bang singularity at a",
                      "no timelike curvature bound from above is possible"]
+    upper = None if w.kind == "sampled" else not bang
     return SingularityReport(consistent, a_fin, b_fin, diameter, bang, False,
-                             not bang, tuple(verdicts))
+                             upper, tuple(verdicts))

@@ -139,6 +139,17 @@ class TestCommands:
         assert "tau_diameter_bound = 3.14159265" in out
         assert "lower_bound_K_consistent = True" in out
 
+    def test_singularity_sampled_inconclusive(self, tmp_path, capsys):
+        doc = {"interval": {"a": 0.1, "b": 3.0},
+               "warp": {"kind": "sampled", "interpolation": "cubic",
+                        "samples": [[0.1 * k, 1.0 + 0.1 * k] for k in range(31)]},
+               "fiber": {"kind": "real_line"}}
+        cfg = write_config(tmp_path, doc)
+        assert main(["--config", cfg, "singularity", "--K", "0"]) == 0
+        out = capsys.readouterr().out
+        assert "upper_bound_possible = inconclusive" in out
+        assert "verdict: endpoint limit at a inconclusive" in out
+
     def test_llcheck(self, tmp_path, capsys):
         catalog = tmp_path / "cat.txt"
         catalog.write_text("curve x y 1.0 timelike\ncurve y z 2.0 causal\n")

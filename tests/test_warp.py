@@ -199,6 +199,17 @@ class TestSingularity:
         # sampled data stop short of the endpoint: inconclusive, not a guess
         assert any("inconclusive" in v for v in rep.verdicts)
 
+    def test_sampled_upper_bound_inconclusive(self):
+        # the same grid taken whole: f -> 0 and |f'| -> inf at both ends, yet
+        # sampled data give no endpoint limits, so no upper-bound verdict
+        ts = np.linspace(1e-6, math.pi - 1e-6, 4001)
+        w = WarpSpec.sampled(list(zip(ts, np.sin(ts) ** (2.0 / 3.0))),
+                             interpolation="cubic")
+        assert (w.a, w.b) == (1e-6, math.pi - 1e-6)
+        rep = singularity_report(w, 0.0)
+        assert not rep.big_bang and not rep.big_crunch
+        assert rep.upper_bound_possible is None
+
 
 class TestSingularityDefects:
     """Verdicts that depend on the whole interval or on exact endpoint limits."""
@@ -426,9 +437,10 @@ def _per_piece_extremum(w, s, t, minimum):
 
 class TestSampledExtremumTable:
     @given(st.integers(0, 2**32 - 1), st.sampled_from(["linear", "cubic"]),
-           st.floats(0.0, 1.0), st.floats(0.0, 1.0))
+           st.floats(0.0, 1.0), st.floats(0.0, 1.0),
+           st.lists(st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)), max_size=30))
     @settings(max_examples=120, deadline=None)
-    def test_bit_identical_to_per_piece_formula(self, seed, interp, u, v):
+    def test_bit_identical_to_per_piece_formula(self, seed, interp, u, v, uv):
         rng = np.random.default_rng(seed)
         ts = np.linspace(0.0, 4.0, 33)
         vs = 1.5 + np.sin(rng.uniform(0.5, 3.0) * ts + rng.uniform(0.0, 6.0)) \
@@ -437,3 +449,79 @@ class TestSampledExtremumTable:
         s, t = sorted((0.01 + 3.98 * u, 0.01 + 3.98 * v))
         assert w.min_on(s, t) == _per_piece_extremum(w, s, t, True)
         assert w.max_on(s, t) == _per_piece_extremum(w, s, t, False)
+        # arrays of segments, including single points and whole knot pieces
+        seg = np.sort(0.01 + 3.98 * np.array(uv).reshape(-1, 2), axis=1)
+        seg = np.vstack((seg, [[s, t], [ts[3], ts[3]], [ts[3], ts[4]]]))
+        for minimum, fn in ((True, w.min_on), (False, w.max_on)):
+            assert fn(seg[:, 0], seg[:, 1]).tolist() == \
+                [_per_piece_extremum(w, a, b, minimum) for a, b in seg]
+
+
+def _segments_inside(w, us):
+    """Segments [s, t] inside (a, b) from unit pairs, on a window of width
+    at most 40; for sin/cos also segments that end at, straddle and stop
+    short of the crest."""
+    lo = w.a if math.isfinite(w.a) else (w.b - 40.0 if math.isfinite(w.b) else -20.0)
+    hi = w.b if math.isfinite(w.b) else lo + 40.0
+    pairs = [sorted((lo + (hi - lo) * u, lo + (hi - lo) * v)) for u, v in us]
+    if w.kind in ("sin", "cos"):
+        crest = (0.5 * math.pi - w._arch_offset()) / w.rate
+        if w.a < crest < w.b:
+            before, after = 0.5 * (w.a + crest), 0.5 * (crest + w.b)
+            pairs += [(before, crest), (crest, after), (before, after),
+                      (before, 0.5 * (before + crest)), (crest, crest)]
+    return np.array([(s, t) for s, t in pairs if w.a < s <= t < w.b]).reshape(-1, 2)
+
+
+class TestArrayExtremum:
+    """Array min_on/max_on against the 0-d calls of the analytic kinds."""
+
+    @given(analytic_warps,
+           st.lists(st.tuples(st.floats(0.001, 0.999), st.floats(0.001, 0.999)),
+                    min_size=1, max_size=30))
+    @settings(max_examples=150, deadline=None)
+    def test_elementwise_bit_identical(self, w, us):
+        seg = _segments_inside(w, us)
+        s, t = seg[:, 0], seg[:, 1]
+        for fn in (w.min_on, w.max_on):
+            got = fn(s, t)
+            want = [fn(float(a), float(b)) for a, b in zip(s, t)]
+            assert all(type(x) is float for x in want)
+            assert got.shape == s.shape
+            assert got.tolist() == want
+
+    def test_crest_and_trough_cases(self):
+        # the sin/cos crest and the cosh trough enter only inside the segment,
+        # for either sign of the cosh and exp rates
+        cases = [(WarpSpec.sin(), [0.2, 1.0, 1.0, 2.0], [1.0, 1.6, 2.0, 2.5], False,
+                  [math.sin(1.0), 1.0, 1.0, math.sin(2.0)]),
+                 (WarpSpec.cos(), [-1.0, 0.1], [0.5, 0.5], False,
+                  [1.0, math.cos(0.1)]),
+                 (WarpSpec.cosh(rate=-2.0), [-1.0, 0.5], [2.0, 2.0], True,
+                  [1.0, math.cosh(1.0)]),
+                 (WarpSpec.exp(rate=-1.3), [-1.0, 0.5], [2.0, 2.0], True,
+                  [math.exp(-2.6), math.exp(-2.6)])]
+        for w, s, t, minimum, want in cases:
+            got = (w.min_on if minimum else w.max_on)(np.array(s), np.array(t))
+            assert got == pytest.approx(want, rel=1e-15)
+
+    @given(analytic_warps, st.floats(0.001, 0.999), st.floats(0.001, 0.999),
+           st.sampled_from(["below_a", "above_b", "reversed"]))
+    @settings(max_examples=80, deadline=None)
+    def test_any_bad_element_raises(self, w, u, v, bad):
+        seg = _segments_inside(w, [(u, v), (0.3, 0.6)])
+        s, t = seg[:, 0].copy(), seg[:, 1].copy()
+        if bad == "below_a":
+            s[-1] = w.a
+        elif bad == "above_b":
+            t[0] = w.b
+        elif s[0] < t[0]:
+            s[0], t[0] = t[0], s[0]
+        else:
+            return
+        for fn in (w.min_on, w.max_on):
+            with pytest.raises(DomainError):
+                fn(s, t)
+            # every pair (s_i, t_j) of a broadcast grid is checked
+            with pytest.raises(DomainError):
+                fn(s[:, None], t[None, :])
