@@ -16,7 +16,13 @@ check.
 The path functionals (length, energy, causal classification and the
 per-segment certificate m_{t_i, t_{i+1}} d_i <= dt_i) share one array pass
 over a path's segments, and the variational sums, the causal-diamond radii and
-the maximizer's samples take all their segments in single array calls.
+the maximizer's samples take all their segments in single array calls.  The
+fiber enters those passes through its array methods: one ``distances`` call
+per path (per depth for the variational sums) and one ``geodesic_points``
+call per sampled curve.  A single pair, as in ``relate``, takes the one-pair
+``distance``.  Quadrature nodes lie between base times that ``point`` has
+checked, so the solvers evaluate the warp there without the per-node domain
+and positivity checks.
 """
 
 from __future__ import annotations
@@ -26,7 +32,6 @@ from dataclasses import dataclass
 from typing import Any, Optional
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import (DomainError, IndeterminateRelationError,
                      NonGeodesicFiberError, NotCausalError, QuadratureError,
@@ -141,9 +146,8 @@ class _Curve:
         ts = np.linspace(self.p.t, self.q.t, n_samples)
         if self.d == 0.0:
             return CausalPath(tuple((float(t), self.p.x) for t in ts))
-        geo = self.cone.fiber.geodesic_point
-        return CausalPath(tuple((float(t), geo(self.p.x, self.q.x, float(u)))
-                                for t, u in zip(ts, self._fractions(ts))))
+        pts = self.cone.fiber.geodesic_points(self.p.x, self.q.x, self._fractions(ts))
+        return CausalPath(tuple(zip(ts.tolist(), pts)))
 
 
 class _Maximizer(_Curve):
@@ -161,15 +165,17 @@ class _Maximizer(_Curve):
         """(fiber progress, proper time) accrued from base time lo to hi;
         column arrays lo[:, None], hi[:, None] give one pair per segment."""
         ts, ws = _gl_nodes(lo, hi, n)
-        b_dot, tau_dot = _kappa_rates(self.cone.warp(ts), self.kappa)
+        b_dot, tau_dot = _kappa_rates(self.cone.warp._values(ts), self.kappa)
         return (ws * b_dot).sum(axis=-1), (ws * tau_dot).sum(axis=-1)
 
     def fiber_progress(self, t):
+        # the quadrature nodes skip the warp's domain check, so check t
+        self.cone.point(t, self.p.x)
         return float(self._integrals(self.p.t, t)[0])
 
     def proper_time(self, t):
-        # time_at_tau's root bracket starts at t = p0, where A is 0
-        return 0.0 if t == self.p.t else float(self._integrals(self.p.t, t)[1])
+        self.cone.point(t, self.p.x)
+        return float(self._integrals(self.p.t, t)[1])
 
     def time_at_tau(self, s):
         if not -1e-12 <= s <= self.tau * (1 + 1e-12) + 1e-12:
@@ -179,7 +185,9 @@ class _Maximizer(_Curve):
             return self.p.t
         if s >= self.tau:
             return self.q.t
-        return brentq(lambda t: self.proper_time(t) - s, self.p.t, self.q.t,
+        from scipy.optimize import brentq
+        # the bracket [p0, q0] holds only checked base times
+        return brentq(lambda t: self._integrals(self.p.t, t)[1] - s, self.p.t, self.q.t,
                       xtol=1e-13 * max(1.0, abs(self.p.t), abs(self.q.t)),
                       rtol=8.9e-16, maxiter=200)
 
@@ -311,7 +319,7 @@ class GeneralizedCone:
 
     def _solve_kappa(self, lo, hi, d, n):
         ts, ws = self._quad_nodes(lo, hi, n)
-        fv = self.warp(ts)
+        fv = self.warp._values(ts)
         inv_total = float(np.sum(ws / fv))
         if d >= inv_total:
             # borderline pair: the quadrature disagrees with relate's verdict
@@ -320,7 +328,7 @@ class GeneralizedCone:
                 bracket=(0.0, math.inf))
         def G(k):
             return float(_kappa_rates(fv, k, ws)[0].sum()) - d
-        fmid = self.warp(0.5 * (lo + hi))
+        fmid = float(self.warp._values(np.asarray(0.5 * (lo + hi))))
         delta = hi - lo
         rad = delta * delta - fmid * fmid * d * d
         k0 = fmid * fmid * d / math.sqrt(rad) if rad > 0 else fmid
@@ -332,6 +340,7 @@ class GeneralizedCone:
         else:
             raise RootFindError("could not bracket the conserved momentum",
                                 bracket=(0.0, k_hi))
+        from scipy.optimize import brentq
         kappa = brentq(G, 0.0, k_hi, xtol=1e-300, rtol=8.9e-16, maxiter=300)
         tau = float(_kappa_rates(fv, kappa, ws)[1].sum())
         return kappa, tau
@@ -412,7 +421,7 @@ class GeneralizedCone:
         ts = path.times
         pts = path.points
         dts = np.diff(ts)
-        ds = np.array([self.fiber.distance(a, b) for a, b in zip(pts[:-1], pts[1:])])
+        ds = self.fiber.distances(pts[:-1], pts[1:])
         if tol is not None:
             md = self.warp.min_on(ts[:-1], ts[1:]) * ds
             bad = np.flatnonzero(md > dts * (1.0 + tol) + tol * np.maximum(1.0, dts))
@@ -483,8 +492,8 @@ class GeneralizedCone:
         for depth in range(refinement_depth + 1):
             k = 2 ** depth
             idx = sorted({round(j * n / k) for j in range(k + 1)})
-            ds = np.array([self.fiber.distance(pts[i0], pts[i1])
-                           for i0, i1 in zip(idx[:-1], idx[1:])])
+            ds = self.fiber.distances([pts[i] for i in idx[:-1]],
+                                      [pts[i] for i in idx[1:]])
             # summed in partition order, left to right
             seq.append(float(np.cumsum(self._tau_bounds(ts[idx[:-1]], ts[idx[1:]], ds))[-1]))
             if k >= n:

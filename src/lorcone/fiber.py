@@ -4,6 +4,12 @@ Built-in fibers: the real line, circles, Euclidean space, the round sphere
 and the hyperbolic plane (both in ambient models for numerical stability),
 and finite metric graphs whose points live on edges.  The module also places
 metric comparison triangles in the constant-curvature model surfaces.
+
+Besides the one-pair ``distance`` and ``geodesic_point``, every fiber answers
+the array forms ``distances(xs, ys)`` (one distance per pair of two stacks of
+points) and ``geodesic_points(x, y, us)`` (one point per fraction).  The base
+class loops over the one-pair methods; ``EuclideanN`` and ``Sphere2`` compute
+both in numpy, with the same bits as their one-pair methods.
 """
 
 from __future__ import annotations
@@ -13,8 +19,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import dijkstra
 
 from .errors import (AmbiguousGeodesicError, DomainError, NonGeodesicFiberError,
                      RealizationError, SizeBoundsError, TriangleError)
@@ -26,7 +30,9 @@ class FiberSpace(abc.ABC):
     ``distance`` must be a metric; ``geodesic_point(x, y, u)`` returns the
     point at parameter ``u`` on a chosen minimizing geodesic, with a
     deterministic tie-break for the non-unique cases unless ``tie_break`` is
-    disabled.  Flags are declared, not proven, for user-supplied spaces.
+    disabled.  ``distances`` and ``geodesic_points`` are their array forms;
+    here they loop over the one-pair methods.  Flags are declared, not
+    proven, for user-supplied spaces.
     """
 
     kind = "abstract"
@@ -43,6 +49,15 @@ class FiberSpace(abc.ABC):
 
     def geodesic_point(self, x, y, u):
         raise NonGeodesicFiberError(f"{self.kind} fiber has no geodesic interpolation")
+
+    def distances(self, xs, ys):
+        """The distance of each pair (xs[i], ys[i]) as a float array."""
+        return np.array([self.distance(x, y) for x, y in zip(xs, ys, strict=True)],
+                        dtype=float)
+
+    def geodesic_points(self, x, y, us):
+        """The point at each fraction u on the geodesic from x to y."""
+        return [self.geodesic_point(x, y, float(u)) for u in us]
 
     @abc.abstractmethod
     def sample_point(self, rng):
@@ -61,9 +76,28 @@ class FiberSpace(abc.ABC):
         except ValueError as exc:
             raise DomainError(f"invalid {self.kind} point {text!r}") from exc
 
-    def _require_geodesic(self):
-        if not self.is_geodesic:
-            raise NonGeodesicFiberError(f"{self.kind} fiber is not geodesic")
+
+def _stack(xs, pt, dim):
+    """A stack of points as an (N, dim) float array.  When it is not one,
+    ``pt`` is applied to each point so that the first bad point raises the
+    one-pair methods' DomainError."""
+    try:
+        arr = np.asarray(xs, dtype=float)
+    except ValueError:   # a ragged stack
+        arr = None
+    if arr is not None and arr.ndim == 2 and arr.shape[1] == dim:
+        return arr
+    for x in xs:
+        pt(x)
+    if arr is not None and arr.size == 0:
+        return arr.reshape(0, dim)
+    raise DomainError(f"expected a stack of {dim}-vectors")
+
+
+def _norms(arr):
+    """Row norms with the bits of np.linalg.norm on each row, whose sum of
+    squares is a BLAS dot product (fused multiply-adds on some hosts)."""
+    return np.sqrt(np.vecdot(arr, arr))
 
 
 class RealLine(FiberSpace):
@@ -100,8 +134,15 @@ class EuclideanN(FiberSpace):
     def distance(self, x, y):
         return float(np.linalg.norm(self._pt(x) - self._pt(y)))
 
+    def distances(self, xs, ys):
+        return _norms(_stack(xs, self._pt, self.n) - _stack(ys, self._pt, self.n))
+
     def geodesic_point(self, x, y, u):
-        return self._pt(x) + u * (self._pt(y) - self._pt(x))
+        return self.geodesic_points(x, y, [u])[0]
+
+    def geodesic_points(self, x, y, us):
+        a, b = self._pt(x), self._pt(y)
+        return a + np.asarray(us, dtype=float)[:, None] * (b - a)
 
     def sample_point(self, rng):
         return rng.normal(size=self.n)
@@ -176,10 +217,23 @@ class Sphere2(FiberSpace):
             raise DomainError("sphere point too far from the unit sphere")
         return arr / n
 
+    def _units(self, xs):
+        arr = _stack(xs, self._unit, 3)
+        n = _norms(arr)
+        if not np.all((0.5 < n) & (n < 2.0)):
+            raise DomainError("sphere point too far from the unit sphere")
+        return arr / n[:, None]
+
     def distance(self, x, y):
         a, b = self._unit(x), self._unit(y)
         chord = np.linalg.norm(a - b)
         return self.radius * 2.0 * math.asin(min(1.0, 0.5 * chord))
+
+    def distances(self, xs, ys):
+        half = np.minimum(1.0, 0.5 * _norms(self._units(xs) - self._units(ys)))
+        # libm's asin, as in distance: numpy's arcsin may differ in the last bit
+        return self.radius * 2.0 * np.fromiter(map(math.asin, half.tolist()),
+                                               float, half.size)
 
     def is_antipodal(self, x, y):
         return np.linalg.norm(self._unit(x) + self._unit(y)) < 1e-9
@@ -197,13 +251,18 @@ class Sphere2(FiberSpace):
         return v / np.linalg.norm(v)
 
     def geodesic_point(self, x, y, u):
+        return self.geodesic_points(x, y, [u])[0]
+
+    def geodesic_points(self, x, y, us):
         a, b = self._unit(x), self._unit(y)
+        us = np.asarray(us, dtype=float)
         theta = self.distance(a, b) / self.radius
         if theta < 1e-15:
-            return a.copy()
+            return np.tile(a, (us.size, 1))
         w = self._tangent_toward(a, b)
-        p = math.cos(u * theta) * a + math.sin(u * theta) * w
-        return p / np.linalg.norm(p)
+        s = (us * theta)[:, None]
+        p = np.cos(s) * a + np.sin(s) * w
+        return p / _norms(p)[:, None]
 
     def sample_point(self, rng):
         v = rng.normal(size=3)
@@ -332,6 +391,8 @@ class MetricGraph(FiberSpace):
         rows = [e[0] for e in parsed] + [e[1] for e in parsed]
         cols = [e[1] for e in parsed] + [e[0] for e in parsed]
         data = [e[2] for e in parsed] * 2
+        from scipy.sparse import csr_matrix
+        from scipy.sparse.csgraph import dijkstra
         adj = csr_matrix((data, (rows, cols)), shape=(n, n))
         self._vdist, self._pred = dijkstra(adj, directed=False,
                                            return_predecessors=True)

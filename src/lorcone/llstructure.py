@@ -12,8 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
 
 from .bruteforce import enumerate_tau
 from .errors import CatalogError
@@ -172,6 +170,8 @@ def derived_tau(cat: CurveCatalog) -> TauTable:
         i, j = cat.index[c.src], cat.index[c.dst]
         has_edge[i, j] = True
         adj[i, j] = max(adj[i, j], c.length)
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import connected_components
     graph = csr_matrix(has_edge.astype(float))
     n_comp, labels = connected_components(graph, directed=True, connection="strong")
     positive_comp = np.zeros(n_comp, dtype=bool)

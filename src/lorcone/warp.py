@@ -43,6 +43,26 @@ def _leggauss(n):
     return x, w
 
 
+def _rounding(*terms):
+    """The rounding error of a phase summed from these terms: a few ulp of
+    the largest."""
+    return 4.0 * math.ulp(max(abs(x) for x in terms))
+
+
+def _refit_overflow(out, c, t, log_power):
+    """``out`` = c P(t) for a power P of t >= 0.  Where P overflowed although
+    c P need not (a tiny c), the element is formed in log space as
+    sign(c) exp(log|c| + log P(t)) instead; ``log_power`` maps log t to
+    log P(t)."""
+    redo = ~np.isfinite(out) & (t > 0)
+    if not np.any(redo):
+        return out
+    with np.errstate(over="ignore"):
+        fixed = math.copysign(1.0, c) * np.exp(
+            math.log(abs(c)) + log_power(np.log(np.where(redo, t, 1.0))))
+    return np.where(redo, fixed, out)
+
+
 def _gl_nodes(lo, hi, n):
     x, w = _leggauss(n)
     mid = 0.5 * (lo + hi)
@@ -143,18 +163,19 @@ class WarpSpec:
         w = self.rate
         if not (math.isfinite(w * self.a) and math.isfinite(w * self.b)):
             raise DomainError(f"{k} warp requires a finite interval")
-        if w * self.b + self._arch_offset() > math.pi + 1e-9:
+        offset = self._arch_offset()
+        if w * self.b + offset > math.pi + _rounding(w * self.b, offset):
             raise DomainError(
                 f"{k} warp is not positive on the whole interval ({self.a}, {self.b})")
 
     def _arch_offset(self):
         """For sin/cos: the offset c with ``f(t) = A sin(rate*t + c)`` whose
         phase ``rate*a + c`` at the lower end is reduced modulo 2 pi; a phase
-        within 1e-9 below the period snaps back to just below zero."""
+        within its rounding below the period snaps back to just below zero."""
         shift = 0.0 if self.kind == "sin" else math.pi / 2.0
         lo = self.rate * self.a + shift
         turns = math.floor(lo / _TWO_PI)
-        if lo - _TWO_PI * turns > _TWO_PI - 1e-9:
+        if lo - _TWO_PI * turns > _TWO_PI - _rounding(lo, _TWO_PI * turns):
             turns += 1
         return shift - _TWO_PI * turns
 
@@ -236,11 +257,14 @@ class WarpSpec:
 
     def second_derivative(self, t):
         arr = self._check_domain(t)
-        k, A, w = self.kind, self.amplitude, self.rate
-        if k in ("constant", "identity"):
+        k, A, w, p = self.kind, self.amplitude, self.rate, self.p
+        if k in ("constant", "identity") or (k == "power" and p * (p - 1.0) == 0.0):
             out = np.zeros_like(arr)
         elif k == "power":
-            out = A * self.p * (self.p - 1.0) * np.power(arr, self.p - 2.0)
+            c = A * p * (p - 1.0)
+            with np.errstate(over="ignore", invalid="ignore"):
+                out = c * np.power(arr, p - 2.0)
+            out = _refit_overflow(out, c, arr, lambda log_t: (p - 2.0) * log_t)
         elif k == "sin":
             out = -A * w * w * np.sin(w * arr)
         elif k == "cos":
@@ -712,11 +736,15 @@ def _analytic_curvature(w, K, m):
     beta = {"exp": 1.0, "cosh": 1.0, "sin": -1.0, "cos": -1.0}.get(k, 0.0) * rate * rate
     alpha = p * (p - 1.0) if k == "power" else 0.0
 
+    def log_power(log_t):
+        return np.minimum(math.log(A) + (p - 2.0) * log_t, -2.0 * log_t)
+
     def ratio(ts):
         with np.errstate(all="ignore"):
             q = (beta - K) * np.minimum(w._values(ts), 1.0)
             if alpha:
-                q = q + alpha * np.minimum(A * ts ** (p - 2.0), ts ** -2.0)
+                q = q + _refit_overflow(
+                    alpha * np.minimum(A * ts ** (p - 2.0), ts ** -2.0), alpha, ts, log_power)
             return q / _BAND
 
     inner = [m]

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from lorcone import (CausalPath, EuclideanN, GeneralizedCone,
+from lorcone import (CausalPath, DomainError, EuclideanN, GeneralizedCone,
                      IndeterminateRelationError, NotCausalError, RealLine,
                      WarpSpec)
 from lorcone.fiber import CallbackFiber
@@ -184,6 +184,18 @@ class TestMaximizers:
         path = Y.maximizing_geodesic(Y.point(0.0, 0.0), Y.point(1.0, 1.0), 65)
         assert Y.classify_path(path) == "null"
         assert Y.path_length(path) == pytest.approx(0.0, abs=1e-9)
+
+    def test_progress_outside_the_interval_raises(self):
+        # the quadrature nodes skip the warp's domain check, so the base time
+        # itself is checked
+        Y = GeneralizedCone(WarpSpec.sin(), RealLine())
+        m = Y.maximizer(Y.point(0.5, 0.0), Y.point(2.5, 0.6))
+        for t in (-0.1, 0.0, math.pi, 3.5):
+            with pytest.raises(DomainError):
+                m.fiber_progress(t)
+            with pytest.raises(DomainError):
+                m.proper_time(t)
+        assert m.fiber_progress(2.5) == pytest.approx(0.6, abs=1e-9)
 
     def test_conservation_de_sitter(self):
         Y = GeneralizedCone(WarpSpec.cosh(), RealLine())

@@ -5,11 +5,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from lorcone import (AmbiguousGeodesicError, Circle, DomainError, EuclideanN,
-                     Hyperbolic2, MetricGraph, RealLine, Sphere2,
-                     TriangleError, SizeBoundsError, model_surface,
-                     realize_metric_triangle)
+from lorcone import (AmbiguousGeodesicError, CallbackFiber, Circle,
+                     DomainError, EuclideanN, Hyperbolic2, MetricGraph,
+                     RealLine, Sphere2, TriangleError, SizeBoundsError,
+                     model_surface, realize_metric_triangle)
 from lorcone.fiber import tripod
 
 ALL_FIBERS = [
@@ -225,3 +226,86 @@ class TestRealizeMetricTriangle:
         assert model_surface(0.0).kind == "euclidean"
         assert model_surface(-4.0).kind == "hyperbolic2"
         assert model_surface(-4.0).radius == pytest.approx(0.5)
+
+
+# -- array methods -------------------------------------------------------------
+
+coords = st.floats(-50.0, 50.0, allow_subnormal=False)
+
+
+@st.composite
+def array_fibers(draw):
+    """A numpy fiber with a stack of pairs (some equal, some antipodal on the
+    sphere), a fraction grid, and a bad point for that fiber."""
+    if draw(st.booleans()):
+        n = draw(st.integers(1, 3))
+        fiber = EuclideanN(n)
+        point = st.lists(coords, min_size=n, max_size=n).map(np.array)
+        bad = np.zeros(n + 1)
+    else:
+        fiber = Sphere2(draw(st.sampled_from([0.25, 1.0, 3.7])))
+        # off the unit sphere by up to the factor the fiber normalizes away
+        point = st.tuples(st.lists(coords, min_size=3, max_size=3),
+                          st.floats(0.6, 1.9)).filter(
+            lambda v: np.linalg.norm(v[0]) > 1e-3).map(
+            lambda v: v[1] * np.array(v[0]) / np.linalg.norm(v[0]))
+        bad = draw(st.sampled_from([np.zeros(2), 3.0 * np.array([1.0, 0.0, 0.0]),
+                                    np.zeros(3)]))
+    xs = draw(st.lists(point, min_size=1, max_size=12))
+    ys = []
+    for x in xs:
+        kind = draw(st.sampled_from(["free", "equal", "opposite"]))
+        ys.append(draw(point) if kind == "free" else x.copy() if kind == "equal" else -x)
+    us = draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=9))
+    return fiber, xs, ys, us + [0.0, 1.0], bad
+
+
+class TestArrayMethods:
+    """The numpy overrides against the one-pair methods, bit for bit."""
+
+    @given(array_fibers(), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_overrides_match_one_pair_methods(self, case, data):
+        fiber, xs, ys, us, bad = case
+        got = fiber.distances(xs, ys)
+        assert got.shape == (len(xs),)
+        assert got.tobytes() == np.array([fiber.distance(x, y)
+                                          for x, y in zip(xs, ys)]).tobytes()
+        x, y = xs[0], ys[0]
+        pts = fiber.geodesic_points(x, y, us)
+        for k, u in enumerate(us):
+            assert np.asarray(fiber.geodesic_point(x, y, u)).tobytes() == pts[k].tobytes()
+        # a bad point anywhere in either stack raises the one-pair error
+        k = data.draw(st.integers(0, len(xs) - 1))
+        broken = xs[:k] + [bad] + xs[k + 1:]
+        with pytest.raises(DomainError):
+            fiber.distance(bad, ys[k])
+        with pytest.raises(DomainError):
+            fiber.distances(broken, ys)
+        with pytest.raises(DomainError):
+            fiber.distances(ys, broken)
+
+    def test_ragged_and_empty_stacks(self):
+        f = EuclideanN(2)
+        with pytest.raises(DomainError, match="got shape \\(3,\\)"):
+            f.distances([np.zeros(2), np.zeros(3)], [np.zeros(2), np.zeros(2)])
+        assert f.distances([], []).shape == (0,)
+        with pytest.raises(DomainError, match="3-vector"):
+            Sphere2().distances([np.ones(3), np.ones(2)], [np.ones(3), np.ones(3)])
+
+    @pytest.mark.parametrize("fiber", [
+        tripod(),
+        CallbackFiber(lambda x, y: abs(x - y) ** 0.5, is_geodesic=True,
+                      interpolator=lambda x, y, u: x + u * u * (y - x),
+                      sampler=lambda rng: float(rng.normal())),
+    ], ids=["tripod", "callback"])
+    def test_base_class_loop(self, fiber):
+        rng = np.random.default_rng(23)
+        xs = [fiber.sample_point(rng) for _ in range(25)]
+        ys = [fiber.sample_point(rng) for _ in range(25)]
+        assert list(fiber.distances(xs, ys)) == [fiber.distance(x, y)
+                                                 for x, y in zip(xs, ys)]
+        us = np.linspace(0.0, 1.0, 9)
+        for x, y in zip(xs[:5], ys[:5]):
+            assert fiber.geodesic_points(x, y, us) == [fiber.geodesic_point(x, y, u)
+                                                       for u in us]

@@ -1,6 +1,10 @@
 """Cross-module paths: sampled warps end to end, circle fibers, exhaustion."""
 
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -78,3 +82,14 @@ def test_segment_speeds():
     path = Y.maximizing_geodesic(Y.point(0.0, 0.0), Y.point(2.0, 1.0), 17)
     v = Y.segment_speeds(path)
     assert np.allclose(v, 0.5, atol=1e-9)
+
+
+def test_import_loads_numpy_only():
+    """scipy is imported by the functions that use it, on first use."""
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    probe = ("import sys, lorcone; "
+             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=str(src)), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -288,7 +288,6 @@ class TestClosedFormOracle:
             raise AssertionError("model-plane closed forms must not solve")
 
         monkeypatch.setattr(scipy.optimize, "brentq", refuse)
-        monkeypatch.setattr("lorcone.cone.brentq", refuse)
         for name in ("time_separation", "point_on_maximizer", "maximizer"):
             monkeypatch.setattr(GeneralizedCone, name, refuse)
         for K in (-1.0, 1.0):

@@ -35,6 +35,18 @@ class TestEval:
         with pytest.raises(DomainError):
             WarpSpec.sampled([(0.0, 1.0), (1.0, -0.5)])
 
+    @pytest.mark.parametrize("make, interval", [
+        # phase 5e-10 past the arch end: f < 0 just below b
+        (WarpSpec.sin, (0.0, math.pi + 5e-10)),
+        (WarpSpec.cos, (-0.5 * math.pi, 0.5 * math.pi + 5e-10)),
+        # phase 5e-10 before the arch start: f < 0 just above a
+        (WarpSpec.sin, (-5e-10, 3.0)),
+        (WarpSpec.cos, (-0.5 * math.pi - 5e-10, 1.0)),
+    ])
+    def test_arch_end_beyond_rounding_rejected(self, make, interval):
+        with pytest.raises(DomainError, match="not positive"):
+            make(interval=interval)
+
     def test_vectorized(self):
         w = WarpSpec.cosh()
         ts = np.linspace(-1, 1, 7)
@@ -319,6 +331,19 @@ class TestExactCurvature:
         assert not rep.holds_concave
         assert rep.worst_t == pytest.approx(t_out, rel=1e-12)
         _assert_witness(w, K, rep)
+
+    def test_tiny_power_exponent_does_not_overflow(self):
+        # f'' = alpha t^-2 f with alpha = p (p - 1) ~ -p ~ 2.2e-311: t^-2
+        # overflows below t ~ 1.3e-154 although alpha t^-2 is of order 1
+        p = -2.225073858507e-311
+        w = WarpSpec(0.0, 0.1, "power", p=p)
+        t = 5.97e-155
+        assert w.second_derivative(t) == pytest.approx(p * (p - 1.0) / t / t, rel=1e-12)
+        assert np.all(np.isfinite(w.second_derivative(np.array([t, 1e-200, 0.05]))))
+        rep = concavity_check(w, 1.0)
+        assert not rep.holds_concave and not rep.holds_convex
+        assert math.isfinite(rep.worst_margin)
+        _assert_witness(w, 1.0, rep)
 
     def test_cubic_piece_interior_extremum(self):
         # g = s'' - 1.3 s is within the band at all five knots and reaches
