@@ -22,6 +22,9 @@ from .lorentz_model import (corresponding_point, model_tau,
                             realize_timelike_triangle, size_bounds)
 
 _TIMELIKE_FLOOR = 1e-12
+# fiber triangle diameter over the lift's cap; draws before a triangle is exhausted
+_DIAM_FACTOR = 0.1
+_MAX_RETRIES = 8
 
 
 @dataclass(frozen=True)
@@ -93,12 +96,12 @@ class PairRecord:
 
 def _side_points(Y: GeneralizedCone, tri: TimelikeTriangle, pair_samples: int):
     """(s, point) at evenly spaced tau parameters s on side xy (0 at x) and on
-    side yz (0 at y), vertices included, each point solved once."""
+    side yz (0 at y), vertices included, on one maximizer per side."""
     fr = np.linspace(0.0, 1.0, max(2, pair_samples))
 
     def side(start, end, length):
-        return [(s, start if s == 0.0 else Y.point_on_maximizer(start, end, s))
-                for s in fr * length]
+        m = Y.maximizer(start, end)
+        return [(s, start if s == 0.0 else m.point_at(s)) for s in fr * length]
 
     return side(tri.x, tri.y, tri.a), side(tri.y, tri.z, tri.b)
 
@@ -138,11 +141,8 @@ class SamplingSpec:
     """Seeded sampling plan for certification runs."""
     n_triangles: int = 100
     t_window: Optional[tuple] = None
-    fiber_scale: float = math.inf
     seed: int = 0
     pair_samples: int = 4
-    diam_factor: float = 0.1
-    max_retries: int = 8
 
     def window_for(self, warp):
         if self.t_window is not None:
@@ -181,7 +181,7 @@ def _sample_fiber_triangle(fiber, rng, diam):
 def _draw_triangle(Y, spec, rng):
     lo, hi = spec.window_for(Y.warp)
     counts = {"window": 0, "lift": 0}
-    for _ in range(spec.max_retries):
+    for _ in range(_MAX_RETRIES):
         t0 = rng.uniform(lo, hi)
         margin = min(t0 - Y.warp.a, Y.warp.b - t0)
         if not math.isfinite(margin):
@@ -191,8 +191,7 @@ def _draw_triangle(Y, spec, rng):
             counts["window"] += 1
             continue
         cap = eps / (2.0 * math.sqrt(2.0) * Y.warp(t0))
-        diam = min(spec.diam_factor * cap, spec.fiber_scale)
-        tri_pts = _sample_fiber_triangle(Y.fiber, rng, diam)
+        tri_pts = _sample_fiber_triangle(Y.fiber, rng, _DIAM_FACTOR * cap)
         try:
             return lift_fiber_triangle(Y, tri_pts, t0, eps), counts
         except LiftError:

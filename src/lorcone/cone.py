@@ -11,7 +11,8 @@ by fiber independence, to the one-dimensional problem
 whose maximizer satisfies the conservation law f^2 b' / sqrt(1 - f^2 b'^2)
 = kappa; the solver finds kappa by monotone bracketing and evaluates the
 resulting quadratures on Gauss-Legendre nodes with a two-resolution error
-check.
+check.  One relation verdict per query decides the pair's curve, so tau, the
+maximizer and points on it read one record, and each pair is solved once.
 
 The path functionals (length, energy, causal classification and the
 per-segment certificate m_{t_i, t_{i+1}} d_i <= dt_i) share one array pass
@@ -21,14 +22,15 @@ fiber enters those passes through its array methods: one ``distances`` call
 per path (per depth for the variational sums) and one ``geodesic_points``
 call per sampled curve.  A single pair, as in ``relate``, takes the one-pair
 ``distance``.  Quadrature nodes lie between base times that ``point`` has
-checked, so the solvers evaluate the warp there without the per-node domain
-and positivity checks.
+checked, so the solvers, like ``relate``'s gap estimate at the later base
+time, evaluate the warp there without the domain and positivity checks.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache, partial
 from typing import Any, Optional
 
 import numpy as np
@@ -62,10 +64,6 @@ class RelationVerdict:
     @property
     def is_causal(self):
         return self.relation in ("equal", "chronological", "causal_null_boundary")
-
-    @property
-    def is_chronological(self):
-        return self.relation == "chronological"
 
 
 @dataclass(frozen=True)
@@ -142,6 +140,13 @@ class _Curve:
     def __init__(self, cone, p, q, d, tau):
         self.cone, self.p, self.q, self.d, self.tau = cone, p, q, d, tau
 
+    def point_at(self, s):
+        """The point at time separation s in [0, tau] from p along the curve;
+        a null curve has tau = 0, so only s = 0."""
+        if not -1e-12 <= s <= self.tau * (1 + 1e-12) + 1e-12:
+            raise DomainError(f"tau parameter {s} outside [0, {self.tau}]")
+        return self._point_at(min(max(s, 0.0), self.tau))
+
     def sample(self, n_samples):
         ts = np.linspace(self.p.t, self.q.t, n_samples)
         if self.d == 0.0:
@@ -153,8 +158,8 @@ class _Curve:
 class _Maximizer(_Curve):
     """Solved maximizing curve between chronologically related points.
 
-    Exposes the fiber progress B(t), the accumulated proper time A(t) and
-    their inverses, all driven by the conserved kappa.
+    Exposes the fiber progress B(t) and the accumulated proper time A(t),
+    both driven by the conserved kappa; ``point_at`` inverts A.
     """
 
     def __init__(self, cone, p, q, d, kappa, tau):
@@ -177,25 +182,20 @@ class _Maximizer(_Curve):
         self.cone.point(t, self.p.x)
         return float(self._integrals(self.p.t, t)[1])
 
-    def time_at_tau(self, s):
-        if not -1e-12 <= s <= self.tau * (1 + 1e-12) + 1e-12:
-            raise DomainError(f"tau parameter {s} outside [0, {self.tau}]")
-        s = min(max(s, 0.0), self.tau)
+    def _point_at(self, s):
         if s == 0.0:
-            return self.p.t
-        if s >= self.tau:
-            return self.q.t
-        from scipy.optimize import brentq
-        # the bracket [p0, q0] holds only checked base times
-        return brentq(lambda t: self._integrals(self.p.t, t)[1] - s, self.p.t, self.q.t,
-                      xtol=1e-13 * max(1.0, abs(self.p.t), abs(self.q.t)),
-                      rtol=8.9e-16, maxiter=200)
-
-    def point_at_time(self, t):
+            t = self.p.t
+        elif s >= self.tau:
+            t = self.q.t
+        else:
+            from scipy.optimize import brentq
+            # the bracket [p0, q0] holds only checked base times
+            t = brentq(lambda t: self._integrals(self.p.t, t)[1] - s, self.p.t, self.q.t,
+                       xtol=1e-13 * max(1.0, abs(self.p.t), abs(self.q.t)),
+                       rtol=8.9e-16, maxiter=200)
         if self.d == 0.0:
             return ConePoint(t, self.p.x)
-        u = self.fiber_progress(t) / self.d
-        u = min(max(u, 0.0), 1.0)
+        u = min(max(self.fiber_progress(t) / self.d, 0.0), 1.0)
         return ConePoint(t, self.cone.fiber.geodesic_point(self.p.x, self.q.x, u))
 
     def _fractions(self, ts):
@@ -214,6 +214,9 @@ class _NullCurve(_Curve):
         super().__init__(cone, p, q, d, 0.0)
         self._nt = cone._nt(p.t)
 
+    def _point_at(self, s):
+        return self.p
+
     def _fractions(self, ts):
         us = []
         for t in ts:
@@ -223,13 +226,72 @@ class _NullCurve(_Curve):
         return us
 
 
+def _quad_nodes(warp, lo, hi, n):
+    if warp.kind == "sampled":
+        knots = warp._knots()[0]
+        edges = np.concatenate(([lo], knots[(knots > lo) & (knots < hi)], [hi]))
+        # at least n // 8 nodes per piece, so the rules of the
+        # two-resolution check differ however many knots lie inside
+        per = max(n // 8, n // (len(edges) - 1))
+        ts, ws = _gl_nodes(edges[:-1, None], edges[1:, None], per)
+        return ts.ravel(), ws.ravel()
+    return _gl_nodes(lo, hi, n)
+
+
+def _solve_kappa(warp, lo, hi, d, n):
+    ts, ws = _quad_nodes(warp, lo, hi, n)
+    fv = warp._values(ts)
+    inv_total = float(np.sum(ws / fv))
+    if d >= inv_total:
+        # borderline pair: the quadrature disagrees with relate's verdict
+        raise RootFindError(
+            f"fiber distance {d} at or beyond the null value {inv_total}",
+            bracket=(0.0, math.inf))
+    def G(k):
+        return float(_kappa_rates(fv, k, ws)[0].sum()) - d
+    fmid = float(warp._values(np.asarray(0.5 * (lo + hi))))
+    delta = hi - lo
+    rad = delta * delta - fmid * fmid * d * d
+    k0 = fmid * fmid * d / math.sqrt(rad) if rad > 0 else fmid
+    k_hi = max(k0, 1e-8)
+    for _ in range(600):
+        if G(k_hi) >= 0.0:
+            break
+        k_hi *= 2.0
+    else:
+        raise RootFindError("could not bracket the conserved momentum",
+                            bracket=(0.0, k_hi))
+    from scipy.optimize import brentq
+    kappa = brentq(G, 0.0, k_hi, xtol=1e-300, rtol=8.9e-16, maxiter=300)
+    tau = float(_kappa_rates(fv, kappa, ws)[1].sum())
+    return kappa, tau
+
+
+def _solve_pair(warp, solver_tol, lo, hi, d):
+    """(kappa, tau) from base time lo to hi at fiber distance d: 64 against
+    96 nodes, then 384 against 512 when those disagree."""
+    kappa, tau = _solve_kappa(warp, lo, hi, d, 64)
+    kappa2, tau2 = _solve_kappa(warp, lo, hi, d, 96)
+    err = abs(tau2 - tau)
+    if err > solver_tol * max(1.0, abs(tau2)):
+        kappa2, tau2 = _solve_kappa(warp, lo, hi, d, 384)
+        kappa3, tau3 = _solve_kappa(warp, lo, hi, d, 512)
+        err = abs(tau3 - tau2)
+        if err > 10.0 * solver_tol * max(1.0, abs(tau3)):
+            raise QuadratureError(
+                "time-separation quadrature did not converge", estimate=err)
+        kappa2, tau2 = kappa3, tau3
+    return kappa2, tau2
+
+
 class GeneralizedCone:
     """Y = I x_f X with the product background metric D = |dt| + d.
 
-    All operations are pure; the internal null-transport and pair-solve
-    caches are keyed memoizations whose concurrent population is harmless
-    (worst case recomputation), so instances can be queried from multiple
-    threads.
+    All operations are pure.  Each instance keeps ``functools.lru_cache``
+    memoizations of the null transports of 512 base times and the
+    (kappa, tau) solves of 4096 pairs.  ``lru_cache`` is thread-safe, and a
+    key that two threads miss at once is computed twice with the same value,
+    so instances can be queried from multiple threads.
     """
 
     def __init__(self, warp: WarpSpec, fiber: FiberSpace, null_tol: float = 1e-9,
@@ -238,8 +300,13 @@ class GeneralizedCone:
         self.fiber = fiber
         self.null_tol = float(null_tol)
         self.solver_tol = float(solver_tol)
-        self._nt_cache: dict = {}
-        self._pair_cache: dict = {}
+        self._nt = lru_cache(maxsize=512)(partial(NullTransport, warp))
+        self._solve_pair = lru_cache(maxsize=4096)(
+            partial(_solve_pair, warp, self.solver_tol))
+
+    def __reduce__(self):
+        # pickles and copies start with empty caches
+        return type(self), (self.warp, self.fiber, self.null_tol, self.solver_tol)
 
     # -- basics -----------------------------------------------------------------
 
@@ -249,18 +316,6 @@ class GeneralizedCone:
             raise DomainError(
                 f"base time {t} outside ({self.warp.a}, {self.warp.b})")
         return ConePoint(t, x)
-
-    def product_distance(self, p: ConePoint, q: ConePoint) -> float:
-        return abs(p.t - q.t) + self.fiber.distance(p.x, q.x)
-
-    def _nt(self, p0) -> NullTransport:
-        nt = self._nt_cache.get(p0)
-        if nt is None:
-            nt = NullTransport(self.warp, p0)
-            if len(self._nt_cache) > 512:
-                self._nt_cache.clear()
-            self._nt_cache[p0] = nt
-        return nt
 
     # -- causal relations ---------------------------------------------------------
 
@@ -283,7 +338,7 @@ class GeneralizedCone:
                                    swapped=swapped)
         band = self.null_tol * max(1.0, abs(hi.t))
         # F' = 1/f, so |F(q0) - d| * f(q0) estimates the q0-space gap to h(d)
-        gap_estimate = abs(s - d) * self.warp(hi.t)
+        gap_estimate = abs(s - d) * float(self.warp._values(np.asarray(hi.t)))
         if gap_estimate <= 10.0 * band and d < nt.forward_horizon:
             h = nt.h_solve(d)
             gap = hi.t - h
@@ -304,96 +359,41 @@ class GeneralizedCone:
         return RelationVerdict(rel, d, null_param=s, horizon=nt.forward_horizon,
                                swapped=swapped)
 
-    # -- time separation ------------------------------------------------------------
+    # -- time separation and maximizers ----------------------------------------------
 
-    def _quad_nodes(self, lo, hi, n):
-        if self.warp.kind == "sampled":
-            knots = self.warp._knots()[0]
-            edges = np.concatenate(([lo], knots[(knots > lo) & (knots < hi)], [hi]))
-            # at least n // 8 nodes per piece, so the rules of the
-            # two-resolution check differ however many knots lie inside
-            per = max(n // 8, n // (len(edges) - 1))
-            ts, ws = _gl_nodes(edges[:-1, None], edges[1:, None], per)
-            return ts.ravel(), ws.ravel()
-        return _gl_nodes(lo, hi, n)
-
-    def _solve_kappa(self, lo, hi, d, n):
-        ts, ws = self._quad_nodes(lo, hi, n)
-        fv = self.warp._values(ts)
-        inv_total = float(np.sum(ws / fv))
-        if d >= inv_total:
-            # borderline pair: the quadrature disagrees with relate's verdict
-            raise RootFindError(
-                f"fiber distance {d} at or beyond the null value {inv_total}",
-                bracket=(0.0, math.inf))
-        def G(k):
-            return float(_kappa_rates(fv, k, ws)[0].sum()) - d
-        fmid = float(self.warp._values(np.asarray(0.5 * (lo + hi))))
-        delta = hi - lo
-        rad = delta * delta - fmid * fmid * d * d
-        k0 = fmid * fmid * d / math.sqrt(rad) if rad > 0 else fmid
-        k_hi = max(k0, 1e-8)
-        for _ in range(600):
-            if G(k_hi) >= 0.0:
-                break
-            k_hi *= 2.0
-        else:
-            raise RootFindError("could not bracket the conserved momentum",
-                                bracket=(0.0, k_hi))
-        from scipy.optimize import brentq
-        kappa = brentq(G, 0.0, k_hi, xtol=1e-300, rtol=8.9e-16, maxiter=300)
-        tau = float(_kappa_rates(fv, kappa, ws)[1].sum())
-        return kappa, tau
-
-    def _solve_pair(self, lo, hi, d):
-        key = (lo, hi, d)
-        hit = self._pair_cache.get(key)
-        if hit is not None:
-            return hit
-        kappa, tau = self._solve_kappa(lo, hi, d, 64)
-        kappa2, tau2 = self._solve_kappa(lo, hi, d, 96)
-        err = abs(tau2 - tau)
-        if err > self.solver_tol * max(1.0, abs(tau2)):
-            kappa2, tau2 = self._solve_kappa(lo, hi, d, 384)
-            kappa3, tau3 = self._solve_kappa(lo, hi, d, 512)
-            err = abs(tau3 - tau2)
-            if err > 10.0 * self.solver_tol * max(1.0, abs(tau3)):
-                raise QuadratureError(
-                    "time-separation quadrature did not converge", estimate=err)
-            kappa2, tau2 = kappa3, tau3
-        if len(self._pair_cache) > 4096:
-            self._pair_cache.clear()
-        self._pair_cache[key] = (kappa2, tau2)
-        return kappa2, tau2
+    def _curve(self, p: ConePoint, q: ConePoint):
+        """The pair's causal curve from one relation verdict: on the null
+        boundary its null curve, otherwise its maximizer with (kappa, tau)
+        from the cached solve.  None unless p is causally before q and
+        distinct from it.  A vertical pair needs no fiber geodesic for its
+        maximizer; any other pair raises NonGeodesicFiberError without one."""
+        verdict = self.relate(p, q)
+        if verdict.swapped or not verdict.is_causal or verdict.relation == "equal":
+            return None
+        d = verdict.fiber_distance
+        if d == 0.0:
+            return _Maximizer(self, p, q, 0.0, 0.0, q.t - p.t)
+        if not self.fiber.is_geodesic:
+            raise NonGeodesicFiberError("maximizers require a geodesic fiber")
+        if verdict.relation == "causal_null_boundary":
+            return _NullCurve(self, p, q, d)
+        kappa, tau = self._solve_pair(p.t, q.t, d)
+        return _Maximizer(self, p, q, d, kappa, tau)
 
     def time_separation(self, p: ConePoint, q: ConePoint) -> float:
         """tau(p, q): 0 unless p is chronologically before q."""
-        verdict = self.relate(p, q)
-        if verdict.swapped or not verdict.is_chronological:
-            return 0.0
-        d = verdict.fiber_distance
-        if d == 0.0:
-            return q.t - p.t
-        if not self.fiber.is_geodesic:
-            raise NonGeodesicFiberError(
-                "time separation requires a geodesic fiber")
-        _, tau = self._solve_pair(p.t, q.t, d)
-        return tau
+        curve = self._curve(p, q)
+        return 0.0 if curve is None else curve.tau
 
     def maximizer(self, p: ConePoint, q: ConePoint):
         """The solved maximizing curve object for a causally related pair."""
-        verdict = self.relate(p, q)
-        if verdict.swapped or not verdict.is_causal or verdict.relation == "equal":
+        curve = self._curve(p, q)
+        if curve is None:
             raise NotCausalError("pair is not future-directed causally related")
         if not self.fiber.is_geodesic:
+            # reached only by a vertical pair, which is refused alike
             raise NonGeodesicFiberError("maximizers require a geodesic fiber")
-        d = verdict.fiber_distance
-        if verdict.relation == "causal_null_boundary":
-            return _NullCurve(self, p, q, d)
-        if d == 0.0:
-            return _Maximizer(self, p, q, 0.0, 0.0, q.t - p.t)
-        kappa, tau = self._solve_pair(p.t, q.t, d)
-        return _Maximizer(self, p, q, d, kappa, tau)
+        return curve
 
     def maximizing_geodesic(self, p: ConePoint, q: ConePoint,
                             n_samples: int = 129) -> CausalPath:
@@ -403,12 +403,7 @@ class GeneralizedCone:
 
     def point_on_maximizer(self, p: ConePoint, q: ConePoint, s: float) -> ConePoint:
         """The point at time separation s from p along the maximizer to q."""
-        m = self.maximizer(p, q)
-        if isinstance(m, _NullCurve):
-            if abs(s) > 1e-12:
-                raise DomainError("null sides carry only the parameter s = 0")
-            return p
-        return m.point_at_time(m.time_at_tau(s))
+        return self.maximizer(p, q).point_at(s)
 
     # -- length functionals ------------------------------------------------------------
 

@@ -37,8 +37,6 @@ class FiberSpace(abc.ABC):
 
     kind = "abstract"
     is_geodesic = True
-    is_proper = True
-    is_locally_compact = True
     curvature_lower = None
     curvature_upper = None
     tie_break = "canonical"

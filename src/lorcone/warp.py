@@ -49,17 +49,19 @@ def _rounding(*terms):
     return 4.0 * math.ulp(max(abs(x) for x in terms))
 
 
-def _refit_overflow(out, c, t, log_power):
-    """``out`` = c P(t) for a power P of t >= 0.  Where P overflowed although
-    c P need not (a tiny c), the element is formed in log space as
-    sign(c) exp(log|c| + log P(t)) instead; ``log_power`` maps log t to
-    log P(t)."""
-    redo = ~np.isfinite(out) & (t > 0)
+def _refit_overflow(out, factors, t, log_power):
+    """``out`` = c P(t) for c the product of ``factors`` and a power P of
+    t >= 0.  Where P overflowed although c P need not (a tiny c), and
+    everywhere once c underflowed below the normal floats, the element is
+    formed in log space as sign(c) exp(sum log|factor| + log P(t)) instead;
+    ``log_power`` maps log t to log P(t)."""
+    c = math.prod(factors)   # keeps its sign when it underflows to 0
+    redo = (~np.isfinite(out) | (abs(c) < sys.float_info.min)) & (t > 0)
     if not np.any(redo):
         return out
+    log_c = sum(math.log(abs(x)) for x in factors)
     with np.errstate(over="ignore"):
-        fixed = math.copysign(1.0, c) * np.exp(
-            math.log(abs(c)) + log_power(np.log(np.where(redo, t, 1.0))))
+        fixed = math.copysign(1.0, c) * np.exp(log_c + log_power(np.log(np.where(redo, t, 1.0))))
     return np.where(redo, fixed, out)
 
 
@@ -261,10 +263,10 @@ class WarpSpec:
         if k in ("constant", "identity") or (k == "power" and p * (p - 1.0) == 0.0):
             out = np.zeros_like(arr)
         elif k == "power":
-            c = A * p * (p - 1.0)
+            factors = (A, p, p - 1.0)
             with np.errstate(over="ignore", invalid="ignore"):
-                out = c * np.power(arr, p - 2.0)
-            out = _refit_overflow(out, c, arr, lambda log_t: (p - 2.0) * log_t)
+                out = math.prod(factors) * np.power(arr, p - 2.0)
+            out = _refit_overflow(out, factors, arr, lambda log_t: (p - 2.0) * log_t)
         elif k == "sin":
             out = -A * w * w * np.sin(w * arr)
         elif k == "cos":
@@ -744,7 +746,8 @@ def _analytic_curvature(w, K, m):
             q = (beta - K) * np.minimum(w._values(ts), 1.0)
             if alpha:
                 q = q + _refit_overflow(
-                    alpha * np.minimum(A * ts ** (p - 2.0), ts ** -2.0), alpha, ts, log_power)
+                    alpha * np.minimum(A * ts ** (p - 2.0), ts ** -2.0), (p, p - 1.0), ts,
+                    log_power)
             return q / _BAND
 
     inner = [m]

@@ -9,7 +9,7 @@ from lorcone import (EuclideanN, GeneralizedCone, Hyperbolic2, LiftError,
                      RealLine, Sphere2, WarpSpec, certify_bound,
                      compare_corresponding_points, fiber_bound_from_cone,
                      lift_fiber_triangle)
-from lorcone.comparison import SamplingSpec
+from lorcone.comparison import SamplingSpec, _draw_triangle, _side_points
 from lorcone.fiber import tripod
 from lorcone.lorentz_model import size_bounds
 
@@ -177,3 +177,26 @@ class TestFiberBound:
         rep = fiber_bound_from_cone(Y, -1.0, 0.0, "below",
                                     SamplingSpec(n_triangles=200, seed=123))
         assert rep.verdict == "violated"
+
+
+_MIXED_ROWS = {
+    "H2": lambda: GeneralizedCone(WarpSpec.identity(), Hyperbolic2(1.0)),
+    "tripod": lambda: GeneralizedCone(WarpSpec.identity(), tripod()),
+    "S2": lambda: GeneralizedCone(WarpSpec.cosh(), Sphere2(1.0)),
+    "AdS": lambda: GeneralizedCone(WarpSpec.cos(), RealLine()),
+}
+
+
+@pytest.mark.parametrize("row", sorted(_MIXED_ROWS))
+def test_side_points_match_per_point_solves(row):
+    # the side points of a triangle equal, bit for bit, the points that
+    # point_on_maximizer solves one at a time on a fresh cone
+    Y, ref = _MIXED_ROWS[row](), _MIXED_ROWS[row]()
+    for seed in range(3):
+        tri, _ = _draw_triangle(Y, SamplingSpec(), np.random.default_rng(seed))
+        side_p, side_q = _side_points(Y, tri, 4)
+        for (start, end), side in (((tri.x, tri.y), side_p), ((tri.y, tri.z), side_q)):
+            for s, pt in side:
+                want = start if s == 0.0 else ref.point_on_maximizer(start, end, s)
+                assert pt.t == want.t
+                assert np.asarray(pt.x, float).tobytes() == np.asarray(want.x, float).tobytes()

@@ -2,14 +2,16 @@
 
 import io
 import math
+import pickle
 
 import numpy as np
 import pytest
 from scipy.optimize import brentq
 
 from lorcone import (CausalPath, DomainError, EuclideanN, GeneralizedCone,
-                     IndeterminateRelationError, NotCausalError, RealLine,
-                     WarpSpec)
+                     IndeterminateRelationError, NonGeodesicFiberError,
+                     NotCausalError, RealLine, WarpSpec)
+from lorcone.cone import _quad_nodes
 from lorcone.fiber import CallbackFiber
 
 
@@ -157,7 +159,7 @@ class TestSampledTimeSeparation:
         # the two-resolution check compares different rules even when more
         # knot pieces lie between p0 and q0 than the coarse rule has nodes
         Y = GeneralizedCone(self._warp(), RealLine())
-        counts = [Y._quad_nodes(0.7, 2.9, n)[0].size for n in (64, 96, 384, 512)]
+        counts = [_quad_nodes(Y.warp, 0.7, 2.9, n)[0].size for n in (64, 96, 384, 512)]
         assert len(set(counts)) == 4
 
     @pytest.mark.parametrize("knots", [17, 257])
@@ -272,6 +274,65 @@ class TestMaximizers:
                 eps += math.sqrt(2.0 * dt * 2.0 * delta + (2.0 * delta) ** 2)
             assert Y.path_length(perturbed) <= L + eps + 1e-12
             prev_bound = eps
+
+
+class TestNonGeodesicFiber:
+    """A callback fiber without an interpolator decides relations, but tau at
+    fiber distance d > 0 and every maximizer need minimizing curves."""
+
+    def cone(self):
+        return GeneralizedCone(WarpSpec.constant(1.0),
+                               CallbackFiber(lambda x, y: abs(x - y)))
+
+    def test_chronological_pair_raises(self):
+        Y = self.cone()
+        p, q = Y.point(0.0, 0.0), Y.point(1.0, 0.2)
+        assert Y.relate(p, q).relation == "chronological"
+        with pytest.raises(NonGeodesicFiberError):
+            Y.time_separation(p, q)
+        with pytest.raises(NonGeodesicFiberError):
+            Y.maximizer(p, q)
+        with pytest.raises(NonGeodesicFiberError):
+            Y.point_on_maximizer(p, q, 0.1)
+        with pytest.raises(NonGeodesicFiberError):
+            Y.maximizing_geodesic(p, q)
+
+    def test_vertical_pair(self):
+        # a vertical pair needs no fiber geodesic for its tau, but its
+        # maximizer is still refused
+        Y = self.cone()
+        p, q = Y.point(0.5, 0.3), Y.point(2.0, 0.3)
+        assert Y.time_separation(p, q) == 1.5
+        with pytest.raises(NonGeodesicFiberError):
+            Y.maximizer(p, q)
+
+    def test_causal_guard_comes_first(self):
+        Y = self.cone()
+        p = Y.point(0.0, 0.0)
+        for q in (Y.point(1.0, 3.0), Y.point(-1.0, 0.2), p):
+            assert Y.time_separation(p, q) == 0.0
+            with pytest.raises(NotCausalError):
+                Y.maximizer(p, q)
+
+
+def test_null_curve_carries_only_s_zero():
+    Y = GeneralizedCone(WarpSpec.constant(1.0), RealLine())
+    p, q = Y.point(0.0, 0.0), Y.point(1.0, 1.0)
+    assert Y.relate(p, q).relation == "causal_null_boundary"
+    assert Y.time_separation(p, q) == 0.0
+    assert Y.point_on_maximizer(p, q, 0.0) is p
+    for s in (0.1, -0.1, 1.0):
+        with pytest.raises(DomainError):
+            Y.point_on_maximizer(p, q, s)
+
+
+def test_pickle_round_trip():
+    Y = GeneralizedCone(WarpSpec.cosh(), RealLine(), solver_tol=1e-10)
+    p, q = Y.point(-0.4, 0.0), Y.point(0.9, 0.6)
+    tau = Y.time_separation(p, q)
+    Z = pickle.loads(pickle.dumps(Y))
+    assert (Z.null_tol, Z.solver_tol) == (Y.null_tol, Y.solver_tol)
+    assert Z.time_separation(p, q) == tau
 
 
 class TestLengthFunctionals:

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from lorcone import (DomainError, NullTransport, RangeError, WarpSpec,
                      concavity_check, singularity_report)
@@ -345,6 +345,23 @@ class TestExactCurvature:
         assert math.isfinite(rep.worst_margin)
         _assert_witness(w, 1.0, rep)
 
+    def test_underflowed_power_coefficient(self):
+        # A p (p - 1) rounds to 0 for A = 0.5, p = 5e-324 although p (p - 1)
+        # does not; f'' is formed from the factors, whether or not t^(p-2)
+        # overflows (t = 1e-300 and 2.9134e-158) or stays finite
+        mpmath = pytest.importorskip("mpmath")
+        p = 5e-324
+        w = WarpSpec(0.0, 0.1, "power", amplitude=0.5, p=p)
+        ts = [1e-300, 2.9134e-158, 1e-160, 1e-100]
+        got = w.second_derivative(np.array(ts))
+        with mpmath.workdps(50):
+            mp_p = mpmath.mpf(p)
+            want = [float(mpmath.mpf(0.5) * mp_p * (mp_p - 1) * mpmath.mpf(t) ** (mp_p - 2))
+                    for t in ts]
+        assert want[0] == pytest.approx(-2.4703e276, rel=1e-4)
+        assert got.tolist() == pytest.approx(want, rel=1e-12)
+        assert w.second_derivative(ts[0]) == pytest.approx(want[0], rel=1e-12)
+
     def test_cubic_piece_interior_extremum(self):
         # g = s'' - 1.3 s is within the band at all five knots and reaches
         # 0.0246 at t = 0.6412, inside the first piece
@@ -369,6 +386,7 @@ class TestExactCurvature:
         assert convex or not rep.holds_convex
 
     @given(analytic_warps, curvature_bounds)
+    @example(_analytic_warp("power", 0.5, 1.0, 5e-324, 0.0, 0.0, False, False), 0.0)
     @settings(max_examples=300, deadline=None)
     def test_failing_verdict_witness(self, w, K):
         _assert_witness(w, K, concavity_check(w, K))
